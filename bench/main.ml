@@ -57,23 +57,25 @@ let time_r ~scenario engine mode (q : Queries.query) =
   r
 
 let emit_json () =
-  let oc = open_out "BENCH_results.json" in
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf "[\n";
-  List.iteri
-    (fun i (scenario, mode, ms, sw, col) ->
-       if i > 0 then Buffer.add_string buf ",\n";
-       Buffer.add_string buf
-         (Printf.sprintf
-            "  {\"scenario\": %S, \"mode\": %S, \"elapsed_ms\": %.3f, \
-             \"switches\": %d, \"collectors\": %d}"
-            scenario mode ms sw col))
-    (List.rev !json_results);
-  Buffer.add_string buf "\n]\n";
-  output_string oc (Buffer.contents buf);
-  close_out oc;
-  Fmt.pr "@.wrote %d data points to BENCH_results.json@."
-    (List.length !json_results)
+  match !json_results with
+  | [] -> Fmt.pr "@.no data points recorded; BENCH_results.json left as is@."
+  | points ->
+    let oc = open_out "BENCH_results.json" in
+    let buf = Buffer.create 1024 in
+    Buffer.add_string buf "[\n";
+    List.iteri
+      (fun i (scenario, mode, ms, sw, col) ->
+         if i > 0 then Buffer.add_string buf ",\n";
+         Buffer.add_string buf
+           (Printf.sprintf
+              "  {\"scenario\": %S, \"mode\": %S, \"elapsed_ms\": %.3f, \
+               \"switches\": %d, \"collectors\": %d}"
+              scenario mode ms sw col))
+      (List.rev points);
+    Buffer.add_string buf "\n]\n";
+    output_string oc (Buffer.contents buf);
+    close_out oc;
+    Fmt.pr "@.wrote %d data points to BENCH_results.json@." (List.length points)
 
 let pct_improvement ~normal ~reopt = 100.0 *. (normal -. reopt) /. normal
 
@@ -1119,6 +1121,45 @@ let progress_scenario () =
       !mismatches !non_monotone
 
 (* ------------------------------------------------------------------ *)
+(* Optimizer: wall clock and allocation of one Optimizer.optimize call
+   per benchmark query (bind excluded), with the enumerated-alternatives
+   count that Sim_clock.charge_optimizer charges.  Print-only: no
+   BENCH_results.json points. *)
+
+let optimizer_reps = 7
+
+let optimizer_scenario () =
+  header
+    (Printf.sprintf
+       "Optimizer: Optimizer.optimize wall ms (min/median of %d) and minor \
+        words per call, sf %g"
+       optimizer_reps sf);
+  let engine = engine_for () in
+  let cfg = Engine.dispatcher_config engine ~mode:Dispatcher.Full () in
+  let catalog = cfg.Dispatcher.catalog and model = cfg.Dispatcher.model in
+  let options = cfg.Dispatcher.opt_options in
+  Fmt.pr "  %-5s %12s %12s %12s %10s@." "query" "min ms" "median ms" "Mwords"
+    "plans";
+  List.iter
+    (fun (q : Queries.query) ->
+       let bound = Engine.bind_sql engine q.Queries.sql in
+       let runs =
+         List.init optimizer_reps (fun _ ->
+             let env =
+               Mqr_opt.Stats_env.create catalog bound.Mqr_sql.Query.relations
+             in
+             let w0 = Gc.minor_words () and t0 = Unix.gettimeofday () in
+             let r = Mqr_opt.Optimizer.optimize ~options ~model ~env bound in
+             let ms = 1000.0 *. (Unix.gettimeofday () -. t0) in
+             (ms, Gc.minor_words () -. w0, r.Mqr_opt.Optimizer.plans_enumerated))
+       in
+       let mn, med = min_median (List.map (fun (ms, _, _) -> ms) runs) in
+       let _, words, plans = List.hd runs in
+       Fmt.pr "  %-5s %12.2f %12.2f %12.3f %10d@." q.Queries.name mn med
+         (words /. 1e6) plans)
+    Queries.all
+
+(* ------------------------------------------------------------------ *)
 (* Bechamel micro-benchmarks: one Test.make per figure/table id.       *)
 
 let micro () =
@@ -1197,6 +1238,7 @@ let () =
    | "parallel" -> parallel_scenario ()
    | "service" -> service_scenario ()
    | "progress" -> progress_scenario ()
+   | "optimizer" -> optimizer_scenario ()
    | "micro" -> micro ()
    | "figures" ->
      figure10 ();
@@ -1221,12 +1263,13 @@ let () =
      parallel_scenario ();
      service_scenario ();
      progress_scenario ();
+     optimizer_scenario ();
      micro ()
    | other ->
      Fmt.epr
        "unknown experiment %S (f10 f11 f12 xfig3 sens overhead joins hist \
         hybrid scale rf wlm sanitize bounds trace parallel service progress \
-        micro all)@."
+        optimizer micro all)@."
        other;
      exit 1)
     which;

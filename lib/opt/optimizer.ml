@@ -40,6 +40,13 @@ type ctx = {
   max_dop : int;
   mutable next_id : int;
   mutable enumerated : int;
+  (* Statistics-derived values memoised for one call: the statistics
+     cannot change while a call runs, and every call makes a fresh
+     context, so a later override never reads a stale value. *)
+  join_sels : (string * string, float) Hashtbl.t;
+      (* equi-join selectivity per ordered column pair *)
+  distincts : (string, float option) Hashtbl.t;
+      (* distinct values per column *)
 }
 
 let make_ctx ?(planning_mem = default_options.planning_mem_pages)
@@ -50,7 +57,9 @@ let make_ctx ?(planning_mem = default_options.planning_mem_pages)
     planning_mem;
     max_dop = max 1 max_dop;
     next_id = 0;
-    enumerated = 0 }
+    enumerated = 0;
+    join_sels = Hashtbl.create 16;
+    distincts = Hashtbl.create 16 }
 
 (* Memory assumed when costing: the grant when one exists, otherwise the
    planning assumption capped by the operator's own maximum. *)
@@ -72,21 +81,39 @@ let width_of schema = float_of_int (Schema.avg_tuple_width schema)
 (* Node constructors: estimation + costing in one place so [recost]    *)
 (* and the DP share the exact same formulas.                           *)
 
+(* A node's estimate record: output rows floored at 0.05 and total cost =
+   own work plus each child's total, added in child order. *)
+let node_est ~rows ~width ~op_ms (children : Plan.est list) =
+  { Plan.rows = Float.max 0.05 rows;
+    width;
+    op_ms;
+    total_ms =
+      List.fold_left (fun acc (c : Plan.est) -> acc +. c.Plan.total_ms) op_ms
+        children }
+
 let mk_node ctx ?(dop = 1) node schema ~rows ~op_ms ~children ~min_mem
     ~max_mem ~mem =
-  let rows = Float.max 0.05 rows in
-  let total_ms =
-    List.fold_left (fun acc (c : Plan.t) -> acc +. c.Plan.est.Plan.total_ms)
-      op_ms children
+  let est =
+    node_est ~rows ~width:(width_of schema) ~op_ms
+      (List.map (fun (c : Plan.t) -> c.Plan.est) children)
   in
-  { Plan.id = fresh_id ctx;
-    node;
-    schema;
-    est = { Plan.rows; width = width_of schema; op_ms; total_ms };
-    min_mem;
-    max_mem;
-    mem;
-    dop }
+  { Plan.id = fresh_id ctx; node; schema; est; min_mem; max_mem; mem; dop }
+
+(* What one operator's estimate function returns: everything about the
+   node except its children and its shape.  [rows] is the raw output
+   estimate, before [node_est] floors it. *)
+type cost = {
+  rows : float;
+  op_ms : float;
+  dop : int;
+  min_mem : int;
+  max_mem : int;
+  mem : int;
+}
+
+let mk_costed ctx node schema ~children (c : cost) =
+  mk_node ctx ~dop:c.dop node schema ~rows:c.rows ~op_ms:c.op_ms ~children
+    ~min_mem:c.min_mem ~max_mem:c.max_mem ~mem:c.mem
 
 (* ------------------------------------------------------------------ *)
 (* Degree-of-parallelism choice.  Candidate degrees are powers of two up
@@ -150,11 +177,26 @@ let mk_index_scan ctx ~table ~alias ~index_col ~lo ~hi ~filter ~schema
   mk_node ctx (Plan.Index_scan { table; alias; index_col; lo; hi; filter })
     schema ~rows ~op_ms ~children:[] ~min_mem:0 ~max_mem:0 ~mem:0
 
+let memoised tbl key compute =
+  match Hashtbl.find_opt tbl key with
+  | Some v -> v
+  | None ->
+    let v = compute () in
+    Hashtbl.add tbl key v;
+    v
+
+let distinct ctx col =
+  memoised ctx.distincts col (fun () ->
+      Selectivity.distinct_of_column ctx.sel_env col)
+
+let equijoin_sel ctx ~left ~right =
+  memoised ctx.join_sels (left, right) (fun () ->
+      Selectivity.equijoin_selectivity ctx.sel_env ~left ~right)
+
 let join_sel ctx ~keys ~extra =
   let key_sel =
     List.fold_left
-      (fun acc (p, b) ->
-         acc *. Selectivity.equijoin_selectivity ctx.sel_env ~left:p ~right:b)
+      (fun acc (p, b) -> acc *. equijoin_sel ctx ~left:p ~right:b)
       1.0 keys
   in
   key_sel *. sel_opt ctx extra
@@ -178,8 +220,7 @@ let rf_est_sel ctx ~build_rows ~build_col ~probe_col =
   if build_rows < 1.0 then 1.0
   else
   match
-    ( Selectivity.distinct_of_column ctx.sel_env build_col,
-      Selectivity.distinct_of_column ctx.sel_env probe_col )
+    (distinct ctx build_col, distinct ctx probe_col)
   with
   | Some db, Some dp when dp >= 1.0 ->
     Float.min 1.0 (Float.min db build_rows /. dp)
@@ -187,13 +228,14 @@ let rf_est_sel ctx ~build_rows ~build_col ~probe_col =
 
 (* Leaves of the probe subtree whose schema owns the filtered column —
    the sites where the dispatcher will apply the filter. *)
+let schema_owns schema col =
+  match Schema.index_of schema col with
+  | (_ : int) -> true
+  | exception Not_found -> false
+  | exception Schema.Ambiguous _ -> false
+
 let rf_sites probe ~col =
-  let owns (n : Plan.t) =
-    match Schema.index_of n.Plan.schema col with
-    | (_ : int) -> true
-    | exception Not_found -> false
-    | exception Schema.Ambiguous _ -> false
-  in
+  let owns (n : Plan.t) = schema_owns n.Plan.schema col in
   List.rev
     (Plan.fold
        (fun acc (n : Plan.t) ->
@@ -204,20 +246,19 @@ let rf_sites probe ~col =
           | _ -> acc)
        [] probe)
 
-let rf_annotations ctx ~with_rf ~build ~probe ~keys =
+(* [sites col] lists the probe-side scans owning [col]. *)
+let rf_annotations ctx ~with_rf ~build_rows ~sites ~keys =
   if not with_rf then []
   else
     List.filter_map
       (fun (probe_col, build_col) ->
-         match rf_sites probe ~col:probe_col with
+         match sites probe_col with
          | [] -> None
          | sites ->
            Some
              { Plan.rf_build_col = build_col;
                rf_probe_col = probe_col;
-               rf_sel =
-                 rf_est_sel ctx ~build_rows:build.Plan.est.Plan.rows
-                   ~build_col ~probe_col;
+               rf_sel = rf_est_sel ctx ~build_rows ~build_col ~probe_col;
                rf_sites = sites })
       keys
 
@@ -237,11 +278,14 @@ let rf_overhead_ms ~build_rows ~probe_rows rf =
        acc +. Cost_model.runtime_filter_ms ~build_rows ~probe_rows)
     0.0 rf
 
-let mk_hash_join ctx ~build ~probe ~keys ~extra ~mem ~with_rf =
-  let schema = Schema.concat probe.Plan.schema build.Plan.schema in
-  let b = build.Plan.est and p = probe.Plan.est in
-  let rows = b.Plan.rows *. p.Plan.rows *. join_sel ctx ~keys ~extra in
-  let rf = rf_annotations ctx ~with_rf ~build ~probe ~keys in
+(* Estimate functions: one per join operator, over the children's
+   estimate records only.  The [mk_*] constructors (used by [recost] and
+   the final plan) and the join memo both call them, so a plan costs the
+   same whichever path builds it. *)
+
+let est_hash_join ctx ~build:(b : Plan.est) ~probe:(p : Plan.est) ~keys ~jsel
+    ~rf ~mem =
+  let rows = b.Plan.rows *. p.Plan.rows *. jsel in
   (* the join's own work shrinks to the filtered probe cardinality; the
      output estimate does not change (the filter only removes tuples that
      could never join) *)
@@ -277,36 +321,22 @@ let mk_hash_join ctx ~build ~probe ~keys ~extra ~mem ~with_rf =
     join_ms
     +. rf_overhead_ms ~build_rows:b.Plan.rows ~probe_rows:p.Plan.rows rf
   in
-  mk_node ctx ~dop (Plan.Hash_join { build; probe; keys; extra; rf }) schema
-    ~rows ~op_ms ~children:[ build; probe ] ~min_mem ~max_mem ~mem
+  { rows; op_ms; dop; min_mem; max_mem; mem }
 
-let mk_index_nl_join ctx ~outer ~table ~alias ~outer_col ~inner_col
-    ~inner_filter ~extra ~inner_schema =
-  let r = Stats_env.rel ctx.env ~alias in
-  let schema = Schema.concat outer.Plan.schema inner_schema in
-  let o = outer.Plan.est in
-  let jsel =
-    Selectivity.equijoin_selectivity ctx.sel_env ~left:outer_col
-      ~right:inner_col
-  in
-  let fetched = o.Plan.rows *. r.Stats_env.rows *. jsel in
-  let rows = fetched *. sel_opt ctx inner_filter *. sel_opt ctx extra in
+let est_index_nl_join ctx ~outer:(o : Plan.est) ~inner_rows ~jsel ~filtered
+    ~filter_sel ~extra_sel =
+  let fetched = o.Plan.rows *. inner_rows *. jsel in
+  let rows = fetched *. filter_sel *. extra_sel in
   let op_ms =
     Cost_model.index_nl_join_ms ctx.model ~outer_rows:o.Plan.rows
       ~out_rows:(Float.max 1.0 fetched)
-    +. (match inner_filter with
-        | None -> 0.0
-        | Some _ -> fetched *. ctx.model.Sim_clock.cpu_tuple_ms)
+    +. (if filtered then fetched *. ctx.model.Sim_clock.cpu_tuple_ms else 0.0)
   in
-  mk_node ctx
-    (Plan.Index_nl_join
-       { outer; table; alias; outer_col; inner_col; inner_filter; extra })
-    schema ~rows ~op_ms ~children:[ outer ] ~min_mem:0 ~max_mem:0 ~mem:0
+  { rows; op_ms; dop = 1; min_mem = 0; max_mem = 0; mem = 0 }
 
-let mk_block_nl_join ctx ~outer ~inner ~pred ~mem =
-  let schema = Schema.concat outer.Plan.schema inner.Plan.schema in
-  let o = outer.Plan.est and i = inner.Plan.est in
-  let rows = o.Plan.rows *. i.Plan.rows *. sel_opt ctx pred in
+let est_block_nl_join ctx ~outer:(o : Plan.est) ~inner:(i : Plan.est)
+    ~pred_sel ~mem =
+  let rows = o.Plan.rows *. i.Plan.rows *. pred_sel in
   let outer_pages = Cost_model.pages ~rows:o.Plan.rows ~width:o.Plan.width in
   let inner_pages = Cost_model.pages ~rows:i.Plan.rows ~width:i.Plan.width in
   let min_mem, max_mem = Cost_model.block_nl_join_mem ~outer_pages in
@@ -315,30 +345,11 @@ let mk_block_nl_join ctx ~outer ~inner ~pred ~mem =
     Cost_model.block_nl_join_ms ctx.model ~outer_rows:o.Plan.rows ~outer_pages
       ~inner_rows:i.Plan.rows ~inner_pages ~out_rows:rows ~mem_pages:mem
   in
-  mk_node ctx (Plan.Block_nl_join { outer; inner; pred }) schema ~rows ~op_ms
-    ~children:[ outer; inner ] ~min_mem ~max_mem ~mem
+  { rows; op_ms; dop = 1; min_mem; max_mem; mem }
 
-(* A side counts as pre-sorted only when the join has a single key pair and
-   the side delivers that key in ascending order; an input ordered by the
-   leading column alone is NOT sorted for a multi-key merge. *)
-let side_sorted plan key = List.mem key (Plan.orders_of plan)
-
-let mk_merge_join ctx ~left ~right ~keys ~extra ~mem ~with_rf =
-  let schema = Schema.concat left.Plan.schema right.Plan.schema in
-  let le = left.Plan.est and re = right.Plan.est in
-  let rows = le.Plan.rows *. re.Plan.rows *. join_sel ctx ~keys ~extra in
-  let left_sorted =
-    match keys with [ (l, _) ] -> side_sorted left l | _ -> false
-  in
-  let right_sorted =
-    match keys with [ (_, r) ] -> side_sorted right r | _ -> false
-  in
-  (* the left side plays the hash join's build role: its key set filters
-     the right side before the right-side sort *)
-  let rf =
-    rf_annotations ctx ~with_rf ~build:left ~probe:right
-      ~keys:(List.map (fun (l, r) -> (r, l)) keys)
-  in
+let est_merge_join ctx ~left:(le : Plan.est) ~right:(re : Plan.est) ~jsel
+    ~left_sorted ~right_sorted ~rf ~mem =
+  let rows = le.Plan.rows *. re.Plan.rows *. jsel in
   let right_rows_eff = re.Plan.rows *. rf_credit_sel rf in
   let left_pages = Cost_model.pages ~rows:le.Plan.rows ~width:le.Plan.width in
   let right_pages =
@@ -352,9 +363,65 @@ let mk_merge_join ctx ~left ~right ~keys ~extra ~mem ~with_rf =
       ~left_sorted ~right_sorted
     +. rf_overhead_ms ~build_rows:le.Plan.rows ~probe_rows:re.Plan.rows rf
   in
-  mk_node ctx
-    (Plan.Merge_join { left; right; keys; extra; left_sorted; right_sorted; rf })
-    schema ~rows ~op_ms ~children:[ left; right ] ~min_mem ~max_mem ~mem
+  { rows; op_ms; dop = 1; min_mem; max_mem; mem }
+
+let mk_hash_join ctx ~build ~probe ~keys ~extra ~mem ~with_rf =
+  let schema = Schema.concat probe.Plan.schema build.Plan.schema in
+  let rf =
+    rf_annotations ctx ~with_rf ~build_rows:build.Plan.est.Plan.rows
+      ~sites:(fun col -> rf_sites probe ~col) ~keys
+  in
+  est_hash_join ctx ~build:build.Plan.est ~probe:probe.Plan.est ~keys
+    ~jsel:(join_sel ctx ~keys ~extra) ~rf ~mem
+  |> mk_costed ctx (Plan.Hash_join { build; probe; keys; extra; rf }) schema
+       ~children:[ build; probe ]
+
+let mk_index_nl_join ctx ~outer ~table ~alias ~outer_col ~inner_col
+    ~inner_filter ~extra ~inner_schema =
+  let r = Stats_env.rel ctx.env ~alias in
+  let schema = Schema.concat outer.Plan.schema inner_schema in
+  est_index_nl_join ctx ~outer:outer.Plan.est ~inner_rows:r.Stats_env.rows
+    ~jsel:(equijoin_sel ctx ~left:outer_col ~right:inner_col)
+    ~filtered:(inner_filter <> None) ~filter_sel:(sel_opt ctx inner_filter)
+    ~extra_sel:(sel_opt ctx extra)
+  |> mk_costed ctx
+       (Plan.Index_nl_join
+          { outer; table; alias; outer_col; inner_col; inner_filter; extra })
+       schema ~children:[ outer ]
+
+let mk_block_nl_join ctx ~outer ~inner ~pred ~mem =
+  let schema = Schema.concat outer.Plan.schema inner.Plan.schema in
+  est_block_nl_join ctx ~outer:outer.Plan.est ~inner:inner.Plan.est
+    ~pred_sel:(sel_opt ctx pred) ~mem
+  |> mk_costed ctx (Plan.Block_nl_join { outer; inner; pred }) schema
+       ~children:[ outer; inner ]
+
+(* A side counts as pre-sorted only when the join has a single key pair and
+   the side delivers that key in ascending order; an input ordered by the
+   leading column alone is NOT sorted for a multi-key merge. *)
+let side_sorted plan key = List.mem key (Plan.orders_of plan)
+
+let mk_merge_join ctx ~left ~right ~keys ~extra ~mem ~with_rf =
+  let schema = Schema.concat left.Plan.schema right.Plan.schema in
+  let left_sorted =
+    match keys with [ (l, _) ] -> side_sorted left l | _ -> false
+  in
+  let right_sorted =
+    match keys with [ (_, r) ] -> side_sorted right r | _ -> false
+  in
+  (* the left side plays the hash join's build role: its key set filters
+     the right side before the right-side sort *)
+  let rf =
+    rf_annotations ctx ~with_rf ~build_rows:left.Plan.est.Plan.rows
+      ~sites:(fun col -> rf_sites right ~col)
+      ~keys:(List.map (fun (l, r) -> (r, l)) keys)
+  in
+  est_merge_join ctx ~left:left.Plan.est ~right:right.Plan.est
+    ~jsel:(join_sel ctx ~keys ~extra) ~left_sorted ~right_sorted ~rf ~mem
+  |> mk_costed ctx
+       (Plan.Merge_join
+          { left; right; keys; extra; left_sorted; right_sorted; rf })
+       schema ~children:[ left; right ]
 
 let group_count ctx ~input_rows ~group_by =
   match group_by with
@@ -363,7 +430,7 @@ let group_count ctx ~input_rows ~group_by =
     let product =
       List.fold_left
         (fun acc c ->
-           match Selectivity.distinct_of_column ctx.sel_env c with
+           match distinct ctx c with
            | Some d -> acc *. Float.max 1.0 d
            | None -> acc *. 100.0)
         1.0 cols
@@ -570,6 +637,153 @@ let access_paths ctx ~(rel : Stats_env.rel_info) ~local ~interesting =
 (* ------------------------------------------------------------------ *)
 (* Join enumeration (DP over alias subsets).                           *)
 
+(* The DP memo holds cost-only entries.  An entry is one costed
+   alternative: its estimate, memory demands, degree, the interesting
+   orders it delivers (as small integer ids) and back-pointers to the
+   entries it joins, plus the node id it reserved when it was costed.  A
+   [Plan.t] is built only for the entries reachable from the final
+   candidates ([materialize]), under the ids they reserved, so the
+   returned plans, their ids and the enumerated count are exactly those
+   of building every alternative as a plan. *)
+type entry = {
+  e_id : int;
+  e_est : Plan.est;
+  e_orders : int array;
+  e_dop : int;
+  e_min_mem : int;
+  e_max_mem : int;
+  e_mem : int;
+  alt : alt;
+  mutable built : Plan.t option;
+}
+
+and alt =
+  | Access of { plan : Plan.t; bit : int }
+  | Hash of { build : entry; probe : entry; split : split; rf : Plan.rf list }
+  | Merge of {
+      left : entry;
+      right : entry;
+      split : split;
+      left_sorted : bool;
+      right_sorted : bool;
+      rf : Plan.rf list;
+    }
+  | Inlj of { outer : entry; inner : inner_rel; key : inlj_key }
+  | Bnl of { outer : entry; inner : entry; pred : Expr.t option }
+
+(* One ordered split of a subset into s1 (probe / outer / left side) and
+   s2 (build / inner / right side): everything that depends on the split
+   alone, computed once for all the pairs of alternatives joined across
+   it. *)
+and split = {
+  keys : (string * string) list;  (* (s1 column, s2 column) *)
+  swapped : (string * string) list;  (* (s2 column, s1 column) *)
+  extra : Expr.t option;  (* residual and complex conjuncts *)
+  extra_sel : float;
+  jsel : float;
+  single_key : (int * int) option;  (* order ids of a lone key pair *)
+  merge_orders : int array;
+  inlj : (inner_rel * inlj_key list) option;
+      (* s2's relation and the keys an index on it can serve, in key order *)
+}
+
+and inlj_key = {
+  outer_col : string;
+  inner_col : string;
+  ij_extra : Expr.t option;  (* the other keys plus the split's extra *)
+  ij_jsel : float;
+  ij_extra_sel : float;
+}
+
+(* The single base relation on the inner side of an index nested-loops
+   join. *)
+and inner_rel = {
+  table : string;
+  alias : string;
+  filter : Expr.t option;
+  filter_sel : float;
+  inner_rows : float;
+  inner_schema : Schema.t;
+}
+
+(* A join conjunct with the mask of the relations it references; an
+   equi-join [a = b] also keeps the bit of [a]'s relation, which orients
+   the key on each split. *)
+type edge = {
+  conj : Expr.t;
+  edge_mask : int;
+  eq : (string * string * int) option;
+}
+
+let no_orders = [||]
+
+let rec mem_from (a : int array) o i =
+  i < Array.length a && (a.(i) = o || mem_from a o (i + 1))
+
+let delivers e o = mem_from e.e_orders o 0
+
+(* Record [e] as the provider of each order it delivers unless an earlier
+   entry delivering that order is no dearer: [providers.(o)] ends as the
+   first of the cheapest providers of [o], in the order entries are
+   offered. *)
+let offer providers e =
+  let orders = e.e_orders in
+  for i = 0 to Array.length orders - 1 do
+    let o = orders.(i) in
+    match providers.(o) with
+    | Some p when not (e.e_est.Plan.total_ms < p.e_est.Plan.total_ms) -> ()
+    | _ -> providers.(o) <- Some e
+  done
+
+let new_entry ctx ~width ~orders (c : cost) children alt =
+  { e_id = fresh_id ctx;
+    e_est = node_est ~rows:c.rows ~width ~op_ms:c.op_ms children;
+    e_orders = orders;
+    e_dop = c.dop;
+    e_min_mem = c.min_mem;
+    e_max_mem = c.max_mem;
+    e_mem = c.mem;
+    alt;
+    built = None }
+
+(* The plan an entry stands for; shared subtrees are built once. *)
+let rec materialize e =
+  match e.built with
+  | Some p -> p
+  | None ->
+    let node, schema =
+      match e.alt with
+      | Access { plan; _ } -> (plan.Plan.node, plan.Plan.schema)
+      | Hash { build; probe; split; rf } ->
+        let build = materialize build and probe = materialize probe in
+        ( Plan.Hash_join
+            { build; probe; keys = split.keys; extra = split.extra; rf },
+          Schema.concat probe.Plan.schema build.Plan.schema )
+      | Merge { left; right; split; left_sorted; right_sorted; rf } ->
+        let left = materialize left and right = materialize right in
+        ( Plan.Merge_join
+            { left; right; keys = split.keys; extra = split.extra;
+              left_sorted; right_sorted; rf },
+          Schema.concat left.Plan.schema right.Plan.schema )
+      | Inlj { outer; inner; key } ->
+        let outer = materialize outer in
+        ( Plan.Index_nl_join
+            { outer; table = inner.table; alias = inner.alias;
+              outer_col = key.outer_col; inner_col = key.inner_col;
+              inner_filter = inner.filter; extra = key.ij_extra },
+          Schema.concat outer.Plan.schema inner.inner_schema )
+      | Bnl { outer; inner; pred } ->
+        let outer = materialize outer and inner = materialize inner in
+        ( Plan.Block_nl_join { outer; inner; pred },
+          Schema.concat outer.Plan.schema inner.Plan.schema )
+    in
+    let p =
+      { Plan.id = e.e_id; node; schema; est = e.e_est; min_mem = e.e_min_mem;
+        max_mem = e.e_max_mem; mem = e.e_mem; dop = e.e_dop }
+    in
+    e.built <- Some p;
+    p
+
 (* [rels] pairs each relation alias with its candidate access paths.  The
    DP keeps, per subset of relations, a small Pareto set: the cheapest plan
    overall plus the cheapest plan delivering each interesting order
@@ -583,185 +797,316 @@ let optimize_joins ctx options ~rels ~join_conjs ~complex_conjs ~interesting =
     List.fold_left (fun acc a -> acc lor bit_of a) 0 owners
   in
   let full = (1 lsl n) - 1 in
-  let best : (int, Plan.t list) Hashtbl.t = Hashtbl.create 64 in
+  let with_rf = options.enable_runtime_filters in
+  (* Interesting orders as ids: position in [interesting]. *)
+  let n_orders = List.length interesting in
+  let order_ids = Hashtbl.create 16 in
+  List.iteri (fun i c -> Hashtbl.replace order_ids c i) interesting;
+  let order_id c = Option.value ~default:(-1) (Hashtbl.find_opt order_ids c) in
+  let order_set cols =
+    Array.of_list (List.filter (fun o -> o >= 0) (List.map order_id cols))
+  in
+  let rel_schemas =
+    List.map (fun (_, paths) -> (List.hd paths).Plan.schema) rels
+  in
+  (* Every plan for a subset has the same columns in some order, so its
+     width (header plus column widths) depends on the subset alone. *)
+  let width_of_mask mask =
+    match List.filteri (fun i _ -> mask land (1 lsl i) <> 0) rel_schemas with
+    | [] -> invalid_arg "width_of_mask: empty subset"
+    | s :: rest -> width_of (List.fold_left Schema.concat s rest)
+  in
+  (* Relations whose scans own a column: where its runtime filter lands. *)
+  let owners = Hashtbl.create 16 in
+  let owner_bits col =
+    match Hashtbl.find_opt owners col with
+    | Some b -> b
+    | None ->
+      let b =
+        List.mapi (fun i s -> if schema_owns s col then 1 lsl i else 0)
+          rel_schemas
+        |> List.fold_left ( lor ) 0
+      in
+      Hashtbl.add owners col b;
+      b
+  in
+  (* [rf_sites] of the plan [e] stands for: owning scan leaves, pre-order. *)
+  let sites_in e col =
+    let own = owner_bits col in
+    let rec go acc e =
+      match e.alt with
+      | Access { plan; bit } ->
+        if bit land own = 0 then acc
+        else
+          (match plan.Plan.node with
+           | Plan.Seq_scan { alias; _ } | Plan.Index_scan { alias; _ } ->
+             alias :: acc
+           | _ -> acc)
+      | Hash { build; probe; _ } -> go (go acc build) probe
+      | Merge { left; right; _ } -> go (go acc left) right
+      | Inlj { outer; _ } -> go acc outer
+      | Bnl { outer; inner; _ } -> go (go acc outer) inner
+    in
+    List.rev (go [] e)
+  in
+  let best = Array.make (full + 1) [] in
   let cheapest = function
     | [] -> invalid_arg "cheapest: empty"
-    | p :: rest ->
+    | e :: rest ->
       List.fold_left
-        (fun (a : Plan.t) (b : Plan.t) ->
-           if b.Plan.est.Plan.total_ms < a.Plan.est.Plan.total_ms then b else a)
-        p rest
+        (fun a b ->
+           if b.e_est.Plan.total_ms < a.e_est.Plan.total_ms then b else a)
+        e rest
   in
-  (* Pareto retention: cheapest overall + cheapest provider per order. *)
-  let retained plans =
-    match plans with
-    | [] -> []
-    | _ ->
-      let keep = ref [ cheapest plans ] in
-      List.iter
-        (fun o ->
-           match
-             List.filter (fun p -> List.mem o (Plan.orders_of p)) plans
-           with
-           | [] -> ()
-           | providers ->
-             let c = cheapest providers in
-             if not (List.memq c !keep) then keep := c :: !keep)
-        interesting;
-      !keep
+  (* Pareto retention: cheapest overall + cheapest provider per order,
+     each the first of its minima in list order; providers are added in
+     order-id order.  [providers] is scratch space, emptied on the way
+     out. *)
+  let providers = Array.make n_orders None in
+  let retained entries =
+    List.iter (offer providers) entries;
+    let keep = ref [ cheapest entries ] in
+    for o = 0 to n_orders - 1 do
+      match providers.(o) with
+      | None -> ()
+      | Some c ->
+        providers.(o) <- None;
+        if not (List.memq c !keep) then keep := c :: !keep
+    done;
+    !keep
   in
-  let bucket mask = Option.value ~default:[] (Hashtbl.find_opt best mask) in
-  let consider mask plan =
-    Hashtbl.replace best mask (retained (plan :: bucket mask))
+  let consider mask e = best.(mask) <- retained (e :: best.(mask)) in
+  let edge ci =
+    { conj = ci.expr;
+      edge_mask = mask_of ci.owners;
+      eq =
+        (match Expr.shape_of ci.expr with
+         | Expr.S_col_eq_col (a, b) ->
+           Some (a, b, bit_of (alias_owning ctx.env a))
+         | _ -> None) }
   in
-  (* Conjuncts annotated with their owner masks. *)
-  let joins = List.map (fun ci -> (ci, mask_of ci.owners)) join_conjs in
-  let complexes = List.map (fun ci -> (ci, mask_of ci.owners)) complex_conjs in
+  let joins = List.map edge join_conjs in
+  let complexes = List.map edge complex_conjs in
   (* Conjuncts that become applicable exactly when [mask] is assembled by
      joining [s1] and [s2]: owners span both sides. *)
   let spanning all s1 s2 =
-    List.filter_map
-      (fun (ci, m) ->
-         if m land s1 <> 0 && m land s2 <> 0 && m land lnot (s1 lor s2) = 0
-         then Some ci
-         else None)
+    List.filter
+      (fun e ->
+         let m = e.edge_mask in
+         m land s1 <> 0 && m land s2 <> 0 && m land lnot (s1 lor s2) = 0)
       all
   in
   (* Singletons. *)
   List.iteri
-    (fun i (_, paths) -> List.iter (consider (1 lsl i)) paths)
+    (fun i (_, paths) ->
+       List.iter
+         (fun (p : Plan.t) ->
+            consider (1 lsl i)
+              { e_id = p.Plan.id; e_est = p.Plan.est;
+                e_orders = order_set (Plan.orders_of p); e_dop = p.Plan.dop;
+                e_min_mem = p.Plan.min_mem; e_max_mem = p.Plan.max_mem;
+                e_mem = p.Plan.mem; alt = Access { plan = p; bit = 1 lsl i };
+                built = Some p })
+         paths)
     rels;
-  (* Scan parameters of a singleton's relation (any of its access paths). *)
-  let scan_info_of s2 =
-    match bucket s2 with
-    | { Plan.node = Plan.Seq_scan { table; alias; filter }; _ } :: _
-    | { Plan.node = Plan.Index_scan { table; alias; filter; _ }; _ } :: _ ->
-      Some (table, alias, filter)
+  (* Inner side of an index nested-loops join: a singleton's relation,
+     with the scan parameters of its access paths. *)
+  let inner_rel s2 =
+    match best.(s2) with
+    | { alt = Access { plan; _ }; _ } :: _ ->
+      (match plan.Plan.node with
+       | Plan.Seq_scan { table; alias; filter }
+       | Plan.Index_scan { table; alias; filter; _ } ->
+         let info = Stats_env.rel ctx.env ~alias in
+         Some
+           ( { table; alias; filter; filter_sel = sel_opt ctx filter;
+               inner_rows = info.Stats_env.rows;
+               inner_schema = info.Stats_env.rel_schema },
+             info.Stats_env.indexed_cols )
+       | _ -> None)
     | _ -> None
+  in
+  let split_of s1 s2 conns =
+    (* split conjuncts into equality keys and residual *)
+    let keys, residual =
+      List.partition_map
+        (fun e ->
+           match e.eq with
+           | Some (a, b, a_bit) ->
+             if a_bit land s1 <> 0 then Left (a, b) else Left (b, a)
+           | None -> Right e.conj)
+        conns
+    in
+    let extra_list =
+      residual @ List.map (fun e -> e.conj) (spanning complexes s1 s2)
+    in
+    let extra = match extra_list with [] -> None | l -> Some (Expr.conjoin l) in
+    let inlj =
+      if keys = [] || not options.enable_index_join || s2 land (s2 - 1) <> 0
+      then None
+      else
+        match inner_rel s2 with
+        | None -> None
+        | Some (inner, indexed) ->
+          List.filter_map
+            (fun (outer_col, inner_col) ->
+               if not (List.mem inner_col indexed) then None
+               else begin
+                 let other_keys =
+                   List.filter
+                     (fun (o, i) -> (o, i) <> (outer_col, inner_col))
+                     keys
+                 in
+                 let extra_all =
+                   List.map
+                     (fun (o, i) -> Expr.(Cmp (Eq, Col o, Col i)))
+                     other_keys
+                   @ extra_list
+                 in
+                 let ij_extra =
+                   match extra_all with [] -> None | l -> Some (Expr.conjoin l)
+                 in
+                 Some
+                   { outer_col; inner_col; ij_extra;
+                     ij_jsel = equijoin_sel ctx ~left:outer_col ~right:inner_col;
+                     ij_extra_sel = sel_opt ctx ij_extra }
+               end)
+            keys
+          |> function [] -> None | ks -> Some (inner, ks)
+    in
+    { keys;
+      swapped = List.map (fun (l, r) -> (r, l)) keys;
+      extra;
+      extra_sel = sel_opt ctx extra;
+      jsel = join_sel ctx ~keys ~extra;
+      (* join-key columns are always interesting orders, so a side
+         delivers a key exactly when it delivers the key's order id *)
+      single_key =
+        (match keys with
+         | [ (l, r) ] -> Some (order_id l, order_id r)
+         | _ -> None);
+      merge_orders =
+        (match keys with (l, r) :: _ -> order_set [ l; r ] | [] -> no_orders);
+      inlj }
   in
   (* Subsets in increasing popcount order: iterating masks ascending works
      because any strict submask is numerically smaller. *)
   for mask = 1 to full do
     if mask land (mask - 1) <> 0 then begin
+      let width = width_of_mask mask in
       (* all ordered splits (s1 = probe/outer side, s2 = build/inner) *)
       let s1 = ref (mask land (mask - 1)) in
       while !s1 > 0 do
         let s2 = mask lxor !s1 in
-        let lefts = bucket !s1 and rights = bucket s2 in
-        let conns = spanning joins !s1 s2 in
-        let cplx = spanning complexes !s1 s2 in
+        let lefts = best.(!s1) and rights = best.(s2) in
         let bushy_ok =
           options.enable_bushy || s2 land (s2 - 1) = 0 (* right singleton *)
         in
+        let conns = spanning joins !s1 s2 in
         if lefts <> [] && rights <> [] && bushy_ok && conns <> [] then begin
-          (* split conjuncts into equality keys and residual *)
-          let keys, residual =
-            List.partition_map
-              (fun ci ->
-                 match Expr.shape_of ci.expr with
-                 | Expr.S_col_eq_col (a, b) ->
-                   let a_owner = alias_owning ctx.env a in
-                   if bit_of a_owner land !s1 <> 0 then Left (a, b)
-                   else Left (b, a)
-                 | _ -> Right ci.expr)
-              conns
-          in
-          let extra_list = residual @ List.map (fun ci -> ci.expr) cplx in
-          let extra =
-            match extra_list with [] -> None | l -> Some (Expr.conjoin l)
-          in
+          let sp = split_of !s1 s2 conns in
           List.iter
             (fun left ->
                List.iter
                  (fun right ->
-                    if keys <> [] then begin
+                    if sp.keys <> [] then begin
                       ctx.enumerated <- ctx.enumerated + 1;
+                      let rf =
+                        rf_annotations ctx ~with_rf
+                          ~build_rows:right.e_est.Plan.rows
+                          ~sites:(sites_in left) ~keys:sp.keys
+                      in
                       consider mask
-                        (mk_hash_join ctx ~build:right ~probe:left ~keys
-                           ~extra ~mem:0
-                           ~with_rf:options.enable_runtime_filters);
+                        (new_entry ctx ~width ~orders:no_orders
+                           (est_hash_join ctx ~build:right.e_est
+                              ~probe:left.e_est ~keys:sp.keys ~jsel:sp.jsel ~rf
+                              ~mem:0)
+                           [ right.e_est; left.e_est ]
+                           (Hash { build = right; probe = left; split = sp; rf }));
                       if options.enable_merge_join then begin
                         ctx.enumerated <- ctx.enumerated + 1;
+                        let left_sorted, right_sorted =
+                          match sp.single_key with
+                          | Some (l, r) -> (delivers left l, delivers right r)
+                          | None -> (false, false)
+                        in
+                        let rf =
+                          rf_annotations ctx ~with_rf
+                            ~build_rows:left.e_est.Plan.rows
+                            ~sites:(sites_in right) ~keys:sp.swapped
+                        in
                         consider mask
-                          (mk_merge_join ctx ~left ~right ~keys ~extra ~mem:0
-                             ~with_rf:options.enable_runtime_filters)
+                          (new_entry ctx ~width ~orders:sp.merge_orders
+                             (est_merge_join ctx ~left:left.e_est
+                                ~right:right.e_est ~jsel:sp.jsel ~left_sorted
+                                ~right_sorted ~rf ~mem:0)
+                             [ left.e_est; right.e_est ]
+                             (Merge
+                                { left; right; split = sp; left_sorted;
+                                  right_sorted; rf }))
                       end
                     end
                     else begin
                       (* connected only through non-equi predicates *)
                       ctx.enumerated <- ctx.enumerated + 1;
                       consider mask
-                        (mk_block_nl_join ctx ~outer:left ~inner:right
-                           ~pred:extra ~mem:0)
+                        (new_entry ctx ~width ~orders:no_orders
+                           (est_block_nl_join ctx ~outer:left.e_est
+                              ~inner:right.e_est ~pred_sel:sp.extra_sel ~mem:0)
+                           [ left.e_est; right.e_est ]
+                           (Bnl { outer = left; inner = right; pred = sp.extra }))
                     end)
                  rights;
                (* indexed nested loops: inner side must be a single base
                   relation with an index on its key column *)
-               if keys <> [] && options.enable_index_join
-               && s2 land (s2 - 1) = 0
-               then begin
-                 match scan_info_of s2 with
-                 | None -> ()
-                 | Some (table, alias, filter) ->
-                   List.iter
-                     (fun (outer_col, inner_col) ->
-                        let info = Stats_env.rel ctx.env ~alias in
-                        if List.mem inner_col info.Stats_env.indexed_cols
-                        then begin
-                          ctx.enumerated <- ctx.enumerated + 1;
-                          let other_keys =
-                            List.filter
-                              (fun (o, i) -> (o, i) <> (outer_col, inner_col))
-                              keys
-                          in
-                          let extra_all =
-                            List.map
-                              (fun (o, i) -> Expr.(Cmp (Eq, Col o, Col i)))
-                              other_keys
-                            @ extra_list
-                          in
-                          let extra =
-                            match extra_all with
-                            | [] -> None
-                            | l -> Some (Expr.conjoin l)
-                          in
-                          consider mask
-                            (mk_index_nl_join ctx ~outer:left ~table ~alias
-                               ~outer_col ~inner_col ~inner_filter:filter
-                               ~extra
-                               ~inner_schema:info.Stats_env.rel_schema)
-                        end)
-                     keys
-               end)
+               match sp.inlj with
+               | None -> ()
+               | Some (inner, keys) ->
+                 List.iter
+                   (fun key ->
+                      ctx.enumerated <- ctx.enumerated + 1;
+                      consider mask
+                        (new_entry ctx ~width ~orders:left.e_orders
+                           (est_index_nl_join ctx ~outer:left.e_est
+                              ~inner_rows:inner.inner_rows ~jsel:key.ij_jsel
+                              ~filtered:(inner.filter <> None)
+                              ~filter_sel:inner.filter_sel
+                              ~extra_sel:key.ij_extra_sel)
+                           [ left.e_est ]
+                           (Inlj { outer = left; inner; key })))
+                   keys)
             lefts
         end;
         s1 := (!s1 - 1) land mask
       done;
       (* Cross-product fallback when nothing connected this subset. *)
-      if not (Hashtbl.mem best mask) then begin
+      if best.(mask) = [] then begin
         let s1 = ref (mask land (mask - 1)) in
         while !s1 > 0 do
           let s2 = mask lxor !s1 in
-          (match bucket !s1, bucket s2 with
+          (match best.(!s1), best.(s2) with
            | left :: _, right :: _ ->
-             let cplx = spanning complexes !s1 s2 in
              let pred =
-               match cplx with
+               match spanning complexes !s1 s2 with
                | [] -> None
-               | l -> Some (Expr.conjoin (List.map (fun ci -> ci.expr) l))
+               | l -> Some (Expr.conjoin (List.map (fun e -> e.conj) l))
              in
              ctx.enumerated <- ctx.enumerated + 1;
              consider mask
-               (mk_block_nl_join ctx ~outer:left ~inner:right ~pred ~mem:0)
+               (new_entry ctx ~width ~orders:no_orders
+                  (est_block_nl_join ctx ~outer:left.e_est ~inner:right.e_est
+                     ~pred_sel:(sel_opt ctx pred) ~mem:0)
+                  [ left.e_est; right.e_est ]
+                  (Bnl { outer = left; inner = right; pred }))
            | _ -> ());
           s1 := (!s1 - 1) land mask
         done
       end
     end
   done;
-  match bucket full with
+  match best.(full) with
   | [] -> raise (Planning_error "join enumeration produced no plan")
-  | plans -> plans
+  | entries -> List.map materialize entries
 
 (* ------------------------------------------------------------------ *)
 (* Full query planning.                                                *)

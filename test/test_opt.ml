@@ -337,6 +337,212 @@ let test_orders_survive_collect () =
   Alcotest.(check (list string)) "collect preserves order" [ "fact.v" ]
     (Plan.orders_of wrapped)
 
+(* --- plan identity ----------------------------------------------------- *)
+
+(* Every annotation of every plan the optimizer returns, bit for bit, for
+   the queries below under each optimizer option set and two data skews,
+   plus the re-cost of each plan under overridden statistics.  The
+   golden pins node ids, node kinds, estimates (as IEEE bit patterns),
+   memory demands, degrees of parallelism, runtime-filter annotations and
+   the enumerated-alternatives count (the simulated optimizer charge), so
+   a change to how the optimizer searches must leave every plan exactly
+   as it was.  On a mismatch the fresh dump is written next to the test
+   binary as opt_plans.gen.txt; copying it over goldens/opt_plans.txt
+   re-records the golden. *)
+
+module Queries = Mqr_tpcd.Queries
+module Workload = Mqr_tpcd.Workload
+
+let identity_options =
+  let d = Optimizer.default_options in
+  [ ("default", d);
+    ("rf", { d with Optimizer.enable_runtime_filters = true });
+    ("no-bushy", { d with Optimizer.enable_bushy = false });
+    ("no-merge", { d with Optimizer.enable_merge_join = false });
+    ("no-inlj", { d with Optimizer.enable_index_join = false });
+    ("dop4", { d with Optimizer.max_dop = 4 }) ]
+
+(* The benchmark queries plus join shapes they lack: a non-equi-only join
+   (block nested loops), a cross product, a residual column comparison
+   with an ORDER BY order, a two-key join (index join with the other key
+   as residual) and a complex conjunct over two otherwise unjoined
+   relations. *)
+let identity_queries =
+  List.map (fun (q : Queries.query) -> (q.Queries.name, q.Queries.sql)) Queries.all
+  @ [ ("E1", "select n_name, r_name from nation, region \
+             where n_regionkey < r_regionkey");
+      ("E2", "select n_name, r_name from nation, region");
+      ("E3", "select c_name, o_orderdate from customer, orders, nation \
+             where c_custkey = o_custkey and c_nationkey = n_nationkey \
+             and o_totalprice > c_acctbal order by c_custkey");
+      ("E4", "select l_quantity, ps_supplycost from partsupp, lineitem, part \
+             where ps_partkey = l_partkey and ps_suppkey = l_suppkey \
+             and p_partkey = l_partkey and p_size < 10");
+      ("E5", "select s_name, c_name from supplier, customer, nation \
+             where s_nationkey = n_nationkey and c_nationkey = n_nationkey \
+             and (s_acctbal > 100.0 or c_acctbal > 100.0)") ]
+
+let identity_catalogs =
+  List.map
+    (fun z -> (z, lazy (Workload.experiment_catalog ~sf:0.001 ~skew_z:z ())))
+    [ 0.0; 1.0 ]
+
+let bits f = Printf.sprintf "%Lx" (Int64.bits_of_float f)
+
+let dump_plan buf (p : Plan.t) =
+  List.iter
+    (fun (n : Plan.t) ->
+       let e = n.Plan.est in
+       Printf.bprintf buf "  #%d %s rows=%s width=%s op=%s total=%s mem=%d/%d..%d dop=%d"
+         n.Plan.id (Plan.op_name n) (bits e.Plan.rows) (bits e.Plan.width)
+         (bits e.Plan.op_ms) (bits e.Plan.total_ms) n.Plan.mem n.Plan.min_mem
+         n.Plan.max_mem n.Plan.dop;
+       let extra = function
+         | None -> ()
+         | Some x -> Printf.bprintf buf " extra=%s" (Mqr_expr.Expr.to_sql x)
+       in
+       let rfs rf =
+         List.iter
+           (fun (f : Plan.rf) ->
+              Printf.bprintf buf " rf=%s<-%s~%s@%s" f.Plan.rf_probe_col
+                f.Plan.rf_build_col (bits f.Plan.rf_sel)
+                (String.concat "," f.Plan.rf_sites))
+           rf
+       in
+       (match n.Plan.node with
+        | Plan.Hash_join { extra = x; rf; _ } -> extra x; rfs rf
+        | Plan.Merge_join { extra = x; rf; left_sorted; right_sorted; _ } ->
+          Printf.bprintf buf " sorted=%b/%b" left_sorted right_sorted;
+          extra x;
+          rfs rf
+        | Plan.Index_nl_join { extra = x; _ } | Plan.Block_nl_join { pred = x; _ }
+          -> extra x
+        | Plan.Aggregate { pre_sorted; _ } ->
+          Printf.bprintf buf " streaming=%b" pre_sorted
+        | _ -> ());
+       Buffer.add_char buf '\n')
+    (Plan.nodes p)
+
+(* the probe/outer key column of the first join in the plan, if any *)
+let first_join_key (p : Plan.t) =
+  List.find_map
+    (fun (n : Plan.t) ->
+       match n.Plan.node with
+       | Plan.Hash_join { keys = (c, _) :: _; _ }
+       | Plan.Merge_join { keys = (c, _) :: _; _ } -> Some c
+       | Plan.Index_nl_join { outer_col; _ } -> Some outer_col
+       | _ -> None)
+    (Plan.nodes p)
+
+(* Observed statistics as a collector would report them: the first
+   relation ran 2.5x larger than believed and the first join key turned
+   out to hold 20 distinct values. *)
+let apply_observed env (q : Query.t) (p : Plan.t) =
+  (match q.Query.relations with
+   | r :: _ ->
+     let info = Stats_env.rel env ~alias:r.Query.alias in
+     Stats_env.override_rows env ~alias:r.Query.alias
+       ~rows:(info.Stats_env.rows *. 2.5)
+   | [] -> ());
+  match first_join_key p with
+  | Some column ->
+    Stats_env.override env ~column
+      (Mqr_catalog.Column_stats.analyze
+         (List.init 400 (fun i -> Value.Int (i * 7 mod 20))))
+  | None -> ()
+
+let plan_identity_dump () =
+  let buf = Buffer.create (1 lsl 16) in
+  List.iter
+    (fun (z, catalog) ->
+       let catalog = Lazy.force catalog in
+       List.iter
+         (fun (name, sql) ->
+            let q = Query.bind catalog (Parser.parse sql) in
+            List.iter
+              (fun (oname, options) ->
+                 let env = Stats_env.create catalog q.Query.relations in
+                 let r =
+                   Optimizer.optimize ~options ~model:Sim_clock.default_model
+                     ~env q
+                 in
+                 Printf.bprintf buf "%s skew=%g %s plans_enumerated=%d\n"
+                   name z oname r.Optimizer.plans_enumerated;
+                 dump_plan buf r.Optimizer.plan;
+                 let env' = Stats_env.create catalog q.Query.relations in
+                 apply_observed env' q r.Optimizer.plan;
+                 let re =
+                   Optimizer.recost
+                     ~planning_mem:options.Optimizer.planning_mem_pages
+                     ~max_dop:options.Optimizer.max_dop
+                     ~model:Sim_clock.default_model ~env:env' r.Optimizer.plan
+                 in
+                 Printf.bprintf buf "%s skew=%g %s recost\n" name z oname;
+                 dump_plan buf re)
+              identity_options)
+         identity_queries)
+    identity_catalogs;
+  Buffer.contents buf
+
+let read_file path = In_channel.with_open_bin path In_channel.input_all
+
+let test_plan_identity_golden () =
+  let got = plan_identity_dump () in
+  let want = read_file "goldens/opt_plans.txt" in
+  if got <> want then begin
+    Out_channel.with_open_bin "opt_plans.gen.txt" (fun oc ->
+        Out_channel.output_string oc got);
+    let gl = String.split_on_char '\n' got
+    and wl = String.split_on_char '\n' want in
+    let rec first_diff i = function
+      | g :: gs, w :: ws -> if g = w then first_diff (i + 1) (gs, ws) else (i, g, w)
+      | g :: _, [] -> (i, g, "<end of golden>")
+      | [], w :: _ -> (i, "<end of dump>", w)
+      | [], [] -> (i, "", "")
+    in
+    let line, g, w = first_diff 1 (gl, wl) in
+    Alcotest.failf
+      "plan identity differs from goldens/opt_plans.txt at line %d\n  \
+       want: %s\n  got:  %s\n(full dump in opt_plans.gen.txt)"
+      line w g
+  end
+
+(* The optimizer memoises statistics-derived values for the length of one
+   call.  Overriding statistics on the same environment between calls must
+   move the estimates exactly as on a fresh environment carrying the same
+   overrides: nothing computed by the first call may leak into the next. *)
+let test_memo_not_stale () =
+  let catalog = Lazy.force (List.assoc 0.0 identity_catalogs) in
+  List.iter
+    (fun name ->
+       let q =
+         Query.bind catalog (Parser.parse (Queries.find name).Queries.sql)
+       in
+       let model = Sim_clock.default_model in
+       let dump p =
+         let buf = Buffer.create 1024 in
+         dump_plan buf p;
+         Buffer.contents buf
+       in
+       let env = Stats_env.create catalog q.Query.relations in
+       let first = Optimizer.optimize ~model ~env q in
+       apply_observed env q first.Optimizer.plan;
+       let again = Optimizer.optimize ~model ~env q in
+       let recost_again = Optimizer.recost ~model ~env first.Optimizer.plan in
+       let fresh = Stats_env.create catalog q.Query.relations in
+       apply_observed fresh q first.Optimizer.plan;
+       let expect = Optimizer.optimize ~model ~env:fresh q in
+       let expect_recost = Optimizer.recost ~model ~env:fresh first.Optimizer.plan in
+       Alcotest.(check bool) (name ^ ": overrides moved the estimate") true
+         (again.Optimizer.plan.Plan.est <> first.Optimizer.plan.Plan.est);
+       Alcotest.(check string) (name ^ ": re-optimize = fresh environment")
+         (dump expect.Optimizer.plan) (dump again.Optimizer.plan);
+       Alcotest.(check int) (name ^ ": same alternatives costed")
+         expect.Optimizer.plans_enumerated again.Optimizer.plans_enumerated;
+       Alcotest.(check string) (name ^ ": recost = fresh environment")
+         (dump expect_recost) (dump recost_again))
+    [ "Q3"; "Q5"; "Q8" ]
+
 let suite =
   [ Alcotest.test_case "single table plan" `Quick test_single_table_plan;
     Alcotest.test_case "index scan when selective" `Quick test_index_scan_chosen_when_selective;
@@ -358,4 +564,6 @@ let suite =
     Alcotest.test_case "sort elision" `Quick test_sort_elided_when_ordered;
     Alcotest.test_case "merge join presorted flags" `Quick test_merge_join_presorted_flag;
     Alcotest.test_case "streaming agg order" `Quick test_streaming_agg_when_grouped_on_order;
-    Alcotest.test_case "orders survive collect" `Quick test_orders_survive_collect ]
+    Alcotest.test_case "orders survive collect" `Quick test_orders_survive_collect;
+    Alcotest.test_case "plan identity golden" `Quick test_plan_identity_golden;
+    Alcotest.test_case "memo not stale across calls" `Quick test_memo_not_stale ]
