@@ -56,26 +56,51 @@ let time_r ~scenario engine mode (q : Queries.query) =
     ~collectors:r.Dispatcher.collectors;
   r
 
+(* BENCH_results.json holds one point per line, as [point_line] writes
+   it.  A run rewrites only the points whose (scenario, mode) it recorded:
+   those are replaced in place, new ones are appended, and every other
+   scenario's points are kept as they were. *)
+let point_line (scenario, mode, ms, sw, col) =
+  Printf.sprintf
+    "  {\"scenario\": %S, \"mode\": %S, \"elapsed_ms\": %.3f, \
+     \"switches\": %d, \"collectors\": %d}"
+    scenario mode ms sw col
+
+let parse_point line =
+  try
+    Scanf.sscanf line
+      " {\"scenario\": %S, \"mode\": %S, \"elapsed_ms\": %f, \
+       \"switches\": %d, \"collectors\": %d}"
+      (fun s m ms sw col -> Some (s, m, ms, sw, col))
+  with Scanf.Scan_failure _ | Failure _ | End_of_file -> None
+
 let emit_json () =
   match !json_results with
   | [] -> Fmt.pr "@.no data points recorded; BENCH_results.json left as is@."
   | points ->
-    let oc = open_out "BENCH_results.json" in
-    let buf = Buffer.create 1024 in
-    Buffer.add_string buf "[\n";
-    List.iteri
-      (fun i (scenario, mode, ms, sw, col) ->
-         if i > 0 then Buffer.add_string buf ",\n";
-         Buffer.add_string buf
-           (Printf.sprintf
-              "  {\"scenario\": %S, \"mode\": %S, \"elapsed_ms\": %.3f, \
-               \"switches\": %d, \"collectors\": %d}"
-              scenario mode ms sw col))
-      (List.rev points);
-    Buffer.add_string buf "\n]\n";
-    output_string oc (Buffer.contents buf);
-    close_out oc;
-    Fmt.pr "@.wrote %d data points to BENCH_results.json@." (List.length points)
+    let path = "BENCH_results.json" in
+    let key (s, m, _, _, _) = (s, m) in
+    let fresh = Hashtbl.create 64 in
+    List.iter (fun p -> Hashtbl.replace fresh (key p) p) (List.rev points);
+    let take p =
+      let q = Hashtbl.find_opt fresh (key p) in
+      Hashtbl.remove fresh (key p);
+      q
+    in
+    let old =
+      if Sys.file_exists path then
+        In_channel.with_open_bin path In_channel.input_all
+        |> String.split_on_char '\n'
+        |> List.filter_map parse_point
+      else []
+    in
+    let replaced = List.map (fun p -> Option.value ~default:p (take p)) old in
+    let merged = replaced @ List.filter_map take (List.rev points) in
+    Out_channel.with_open_bin path (fun oc ->
+        output_string oc
+          ("[\n" ^ String.concat ",\n" (List.map point_line merged) ^ "\n]\n"));
+    Fmt.pr "@.wrote %d data points to %s (%d in all)@." (List.length points)
+      path (List.length merged)
 
 let pct_improvement ~normal ~reopt = 100.0 *. (normal -. reopt) /. normal
 
@@ -466,8 +491,8 @@ let runtime_filters () =
 let wlm () =
   header
     (Fmt.str
-       "Workload manager - 4-query batch, serial fixed budget vs shared \
-        broker (budget=%d pages)"
+       "Workload manager - 4-query batch, serial vs four at a time over \
+        the shared broker (budget=%d pages)"
        budget_pages);
   let module Wl = Mqr_wlm.Workload in
   let specs =
@@ -478,22 +503,17 @@ let wlm () =
   let serial =
     Wl.run
       ~options:
-        { Wl.default_options with
-          Wl.max_concurrency = 1;
-          memory = Wl.Fixed_per_query budget_pages;
-          feedback = false }
+        { Wl.default_options with Wl.max_concurrency = 1; feedback = false }
       (engine_for ()) specs
   in
   let conc =
     Wl.run
       ~options:
-        { Wl.default_options with
-          Wl.max_concurrency = 4;
-          memory = Wl.Shared_broker }
+        { Wl.default_options with Wl.max_concurrency = 4 }
       (engine_for ()) specs
   in
-  Fmt.pr "serial (one at a time, fixed %d pages each):@.%a@.@." budget_pages
-    Wl.pp serial;
+  Fmt.pr "serial (one at a time, the whole %d pages each):@.%a@.@."
+    budget_pages Wl.pp serial;
   Fmt.pr "concurrent (broker leases over the same %d pages):@.%a@.@."
     budget_pages Wl.pp conc;
   Fmt.pr "makespan %.1f ms -> %.1f ms  (%.2fx)%s@." serial.Wl.makespan_ms

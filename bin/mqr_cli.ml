@@ -225,38 +225,22 @@ let explain_cmd =
    dependency in the image); diagnostics are emitted in the stable
    [Diagnostic.compare] order, queries in argument order, so the output
    is diffable across runs. *)
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-       match c with
-       | '"' -> Buffer.add_string b "\\\""
-       | '\\' -> Buffer.add_string b "\\\\"
-       | '\n' -> Buffer.add_string b "\\n"
-       | '\t' -> Buffer.add_string b "\\t"
-       | '\r' -> Buffer.add_string b "\\r"
-       | c when Char.code c < 0x20 ->
-         Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-       | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let json_of_diag (d : Diagnostic.t) =
   Printf.sprintf
     "{\"code\":\"%s\",\"severity\":\"%s\",\"pass\":\"%s\",\"node_id\":%d,\
      \"path\":[%s],\"message\":\"%s\"%s}"
-    (json_escape d.Diagnostic.code)
+    (Trace.json_escape d.Diagnostic.code)
     (Diagnostic.severity_to_string d.Diagnostic.severity)
-    (json_escape d.Diagnostic.pass_name)
+    (Trace.json_escape d.Diagnostic.pass_name)
     d.Diagnostic.node_id
     (String.concat ","
        (List.map
-          (fun p -> Printf.sprintf "\"%s\"" (json_escape p))
+          (fun p -> Printf.sprintf "\"%s\"" (Trace.json_escape p))
           d.Diagnostic.path))
-    (json_escape d.Diagnostic.message)
+    (Trace.json_escape d.Diagnostic.message)
     (match d.Diagnostic.hint with
      | None -> ""
-     | Some h -> Printf.sprintf ",\"hint\":\"%s\"" (json_escape h))
+     | Some h -> Printf.sprintf ",\"hint\":\"%s\"" (Trace.json_escape h))
 
 let lint_cmd =
   let queries_arg =
@@ -292,7 +276,7 @@ let lint_cmd =
              Printf.sprintf
                "{\"query\":\"%s\",\"mode\":\"%s\",\"errors\":%d,\
                 \"warnings\":%d,\"diagnostics\":[%s]}"
-               (json_escape q)
+               (Trace.json_escape q)
                (Dispatcher.mode_to_string mode)
                (List.length errs) (List.length warns)
                (String.concat "," (List.map json_of_diag diags))
@@ -477,27 +461,12 @@ let workload_cmd =
     let doc = "Run-queue capacity; further queries are rejected." in
     Arg.(value & opt int 64 & info [ "queue" ] ~docv:"N" ~doc)
   in
-  let fixed_arg =
-    let doc =
-      "Give every query its own fixed budget of PAGES instead of leasing \
-       from the shared memory broker."
-    in
-    Arg.(value & opt (some int) None & info [ "fixed-pages" ] ~docv:"PAGES" ~doc)
-  in
   let no_feedback_arg =
     let doc = "Disable the cross-query statistics feedback cache." in
     Arg.(value & flag & info [ "no-feedback" ] ~doc)
   in
-  let jitter_arg =
-    let doc = "Add a uniform random arrival delay of up to MS milliseconds." in
-    Arg.(value & opt float 0.0 & info [ "jitter" ] ~docv:"MS" ~doc)
-  in
-  let seed_arg =
-    let doc = "Seed for the arrival jitter." in
-    Arg.(value & opt int 7 & info [ "seed" ] ~docv:"N" ~doc)
-  in
-  let action queries sf skew budget mode pristine concurrency queue fixed
-      no_feedback jitter seed trace_out parallel =
+  let action queries sf skew budget mode pristine concurrency queue
+      no_feedback trace_out parallel =
     friendly @@ fun () ->
     let tr = Option.map (fun _ -> Trace.create ()) trace_out in
     let engine = make_engine ~parallel ~sf ~skew ~budget ~pristine () in
@@ -513,20 +482,15 @@ let workload_cmd =
     let options =
       { Wl.max_concurrency = concurrency;
         max_queue = queue;
-        memory =
-          (match fixed with
-           | Some pages -> Wl.Fixed_per_query pages
-           | None -> Wl.Shared_broker);
-        feedback = not no_feedback;
-        arrival_jitter_ms = jitter;
-        seed }
+        feedback = not no_feedback }
     in
     let report = Wl.run ~options ?trace:tr engine specs in
     Fmt.pr "%a@." Wl.pp report;
     Engine.shutdown engine;
-    match tr, trace_out with
-    | Some tr, Some file -> export_chrome tr file
-    | _ -> ()
+    (match tr, trace_out with
+     | Some tr, Some file -> export_chrome tr file
+     | _ -> ());
+    if report.Wl.failed <> [] then exit 1
   in
   let info =
     Cmd.info "workload"
@@ -536,9 +500,8 @@ let workload_cmd =
   in
   Cmd.v info
     Term.(const action $ queries_arg $ sf_arg $ skew_arg $ budget_arg
-          $ mode_arg $ pristine_arg $ concurrency_arg $ queue_arg $ fixed_arg
-          $ no_feedback_arg $ jitter_arg $ seed_arg $ trace_out_arg
-          $ parallel_arg)
+          $ mode_arg $ pristine_arg $ concurrency_arg $ queue_arg
+          $ no_feedback_arg $ trace_out_arg $ parallel_arg)
 
 (* The query service: a long-lived multi-tenant scheduler driven by a
    line protocol.  Interactive over stdin, scripted via --driver FILE

@@ -1,10 +1,11 @@
 (* A batch of TPC-D queries through the workload manager, twice: once
-   serially with a fixed per-query budget, then concurrently with the
-   shared memory broker and cross-query statistics feedback.  The broker
-   leases slices of one global page budget to the running queries, and
-   pages freed by a finished query are re-granted to the others — so the
-   batch overlaps and the simulated makespan drops well below the serial
-   sum, while every query returns exactly the same rows.
+   serially (one query at a time, each with the whole page budget), then
+   four at a time with cross-query statistics feedback.  The batch runs
+   as one tenant of the query service: its memory broker leases slices of
+   one global page budget to the running queries, and pages freed by a
+   finished query are re-granted to the others — so the batch overlaps
+   and the simulated makespan drops well below the serial sum, while
+   every query returns exactly the same rows.
 
      dune exec examples/concurrent_workload.exe *)
 
@@ -29,10 +30,7 @@ let () =
   let serial =
     Wl.run
       ~options:
-        { Wl.default_options with
-          Wl.max_concurrency = 1;
-          memory = Wl.Fixed_per_query budget_pages;
-          feedback = false }
+        { Wl.default_options with Wl.max_concurrency = 1; feedback = false }
       (engine ()) batch
   in
   Fmt.pr "%a@.@." Wl.pp serial;

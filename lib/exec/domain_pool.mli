@@ -1,8 +1,9 @@
 (** A long-lived pool of OCaml 5 domains with a work-stealing task queue.
 
-    The pool is spawned once per [Engine] (or [Workload]) and reused for
-    every parallel operator; domains are expensive to fork, so operators
-    must never spawn their own.  Tasks are closures submitted in batches;
+    The pool is spawned once per [Engine] (a workload or service shares
+    its engine's pool) and reused for every parallel operator; domains
+    are expensive to fork, so operators must never spawn their own.
+    Tasks are closures submitted in batches;
     each batch blocks the submitter until every task has finished and
     returns the results in submission order, so callers observe fully
     deterministic merges no matter which domain ran which task.

@@ -212,7 +212,7 @@ let tenant_lanes t = List.rev t.t_tenants
 (* ------------------------------------------------------------------ *)
 (* JSON rendering (hand-rolled: deterministic, dependency-free)        *)
 
-let escape s =
+let json_escape s =
   let buf = Buffer.create (String.length s + 8) in
   String.iter
     (fun c ->
@@ -221,6 +221,7 @@ let escape s =
        | '\\' -> Buffer.add_string buf "\\\\"
        | '\n' -> Buffer.add_string buf "\\n"
        | '\t' -> Buffer.add_string buf "\\t"
+       | '\r' -> Buffer.add_string buf "\\r"
        | c when Char.code c < 0x20 ->
          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
        | c -> Buffer.add_char buf c)
@@ -230,12 +231,12 @@ let escape s =
 let arg_json = function
   | Int i -> string_of_int i
   | Float f -> Printf.sprintf "%.3f" f
-  | Str s -> Printf.sprintf "\"%s\"" (escape s)
+  | Str s -> Printf.sprintf "\"%s\"" (json_escape s)
   | Bool b -> if b then "true" else "false"
 
 let args_json args =
   String.concat ", "
-    (List.map (fun (k, v) -> Printf.sprintf "\"%s\": %s" (escape k) (arg_json v)) args)
+    (List.map (fun (k, v) -> Printf.sprintf "\"%s\": %s" (json_escape k) (arg_json v)) args)
 
 (* simulated milliseconds -> integral trace microseconds: exact for the
    cost model's resolution, and byte-stable *)
@@ -297,7 +298,7 @@ let to_chrome_json t =
          (Printf.sprintf
             "{\"ph\": \"M\", \"pid\": %d, \"tid\": 0, \"name\": \
              \"process_name\", \"args\": {\"name\": \"%s\"}}"
-            pid (escape name)))
+            pid (json_escape name)))
     (tenant_lanes t);
   List.iter
     (fun (tid, label) ->
@@ -305,7 +306,7 @@ let to_chrome_json t =
          (Printf.sprintf
             "{\"ph\": \"M\", \"pid\": %d, \"tid\": %d, \"name\": \
              \"thread_name\", \"args\": {\"name\": \"%s\"}}"
-            (pid_of tid) tid (escape label)))
+            (pid_of tid) tid (json_escape label)))
     (queries t);
   List.iter
     (fun sp ->
@@ -313,8 +314,8 @@ let to_chrome_json t =
          (Printf.sprintf
             "{\"ph\": \"X\", \"pid\": %d, \"tid\": %d, \"name\": \"%s\", \
              \"cat\": \"%s\", \"ts\": %d, \"dur\": %d, \"args\": {%s}}"
-            (pid_of sp.sp_tid) sp.sp_tid (escape sp.sp_name)
-            (escape sp.sp_cat)
+            (pid_of sp.sp_tid) sp.sp_tid (json_escape sp.sp_name)
+            (json_escape sp.sp_cat)
             (us sp.sp_begin_ms)
             (max 0 (us sp.sp_end_ms - us sp.sp_begin_ms))
             (args_json (("depth", Int sp.sp_depth) :: sp.sp_args))))
@@ -325,7 +326,7 @@ let to_chrome_json t =
          (Printf.sprintf
             "{\"ph\": \"i\", \"pid\": %d, \"tid\": %d, \"name\": \"%s\", \
              \"cat\": \"%s\", \"ts\": %d, \"s\": \"t\", \"args\": {%s}}"
-            (pid_of i.i_tid) i.i_tid (escape i.i_name) (escape i.i_cat)
+            (pid_of i.i_tid) i.i_tid (json_escape i.i_name) (json_escape i.i_cat)
             (us i.i_ts_ms)
             (args_json i.i_args)))
     (instants t);
@@ -357,13 +358,13 @@ let to_summary_json t =
   Buffer.add_string buf
     (String.concat ", "
        (List.map
-          (fun (k, v) -> Printf.sprintf "\"%s\": %d" (escape k) v)
+          (fun (k, v) -> Printf.sprintf "\"%s\": %d" (json_escape k) v)
           (Metrics.counters t.m)));
   Buffer.add_string buf "},\n    \"gauges\": {";
   Buffer.add_string buf
     (String.concat ", "
        (List.map
-          (fun (k, v) -> Printf.sprintf "\"%s\": %.3f" (escape k) v)
+          (fun (k, v) -> Printf.sprintf "\"%s\": %.3f" (json_escape k) v)
           (Metrics.gauges t.m)));
   Buffer.add_string buf "},\n    \"histograms\": {";
   Buffer.add_string buf
@@ -374,7 +375,7 @@ let to_summary_json t =
                "\"%s\": {\"n\": %d, \"min\": %.3f, \"max\": %.3f, \"sum\": \
                 %.3f, \"p50\": %.3f, \"p95\": %.3f, \"p99\": %.3f, \
                 \"buckets\": [%s]}"
-               (escape k) s.Metrics.n s.Metrics.min s.Metrics.max
+               (json_escape k) s.Metrics.n s.Metrics.min s.Metrics.max
                s.Metrics.sum s.Metrics.p50 s.Metrics.p95 s.Metrics.p99
                (String.concat ", "
                   (List.map

@@ -161,6 +161,13 @@ val tenant_lanes : t -> (string * int) list
 
     Pure: both return the document as a string. *)
 
+(** The body of a JSON string literal for [s] (no surrounding quotes):
+    quote, backslash, newline, tab and carriage return get their short
+    escapes, other control characters [\uXXXX].  The one escaper behind
+    every hand-rolled JSON document in the engine (trace exports, the
+    monitor views, lint output). *)
+val json_escape : string -> string
+
 (** Chrome trace-event JSON (the [chrome://tracing] / Perfetto format):
     complete ["X"] events for spans, instant ["i"] events for samples,
     filters and ledger entries, thread-name metadata per query. *)

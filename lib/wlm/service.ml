@@ -71,7 +71,9 @@ type t = {
      derived from it), never the wall clock, so the interleaving — and
      with it every simulated time — is deterministic. *)
   mutable now_ms : float;
-  mutable rr : int;                     (* round-robin cursor *)
+  mutable rr : int;
+      (* round-robin cursor: position in [running] of the next statement
+         to step (wraps to the head past the end) *)
   mutable wall_t0 : float;
   mutable wall_last : float;
 }
@@ -142,7 +144,7 @@ let add_tenant ?weight ?target_ms t ~slo name =
       tn_queue_ms = 0.0;
       tn_exec_ms = 0.0 };
   (* fair-share floors are an SLO-aware mechanism; the round-robin
-     baseline keeps the PR 1 global broker behaviour *)
+     baseline leases from one global pool *)
   if t.options.policy = Slo_aware then
     Broker.register_tenant t.broker ~weight name
 
@@ -343,10 +345,13 @@ let regrant t =
     order
 
 let retire t (s : Session.stmt) =
-  t.running <-
-    List.filter
-      (fun (o : Session.stmt) -> o.Session.stmt_id <> s.Session.stmt_id)
-      t.running;
+  (* statements behind the cursor move up one place: keep pointing at the
+     one that was next, so the pass steps it rather than skipping it *)
+  let same (o : Session.stmt) = o.Session.stmt_id = s.Session.stmt_id in
+  (match List.find_index same t.running with
+   | Some i when i < t.rr -> t.rr <- t.rr - 1
+   | _ -> ());
+  t.running <- List.filter (fun o -> not (same o)) t.running;
   Broker.release t.broker ~id:s.Session.stmt_id;
   refresh_activity t s.Session.stmt_tenant;
   metric t "svc.%s.broker_waits" s.Session.stmt_tenant (fun m name ->
@@ -443,11 +448,11 @@ let submit_stmt t (s : Session.stmt) =
   else begin
     let deadline =
       match t.options.policy with
-      | Round_robin -> infinity  (* plain FIFO: the PR 1 baseline *)
+      | Round_robin -> infinity  (* plain FIFO *)
       | Slo_aware -> s.Session.stmt_deadline_ms
     in
     Broker.set_tenant_active t.broker s.Session.stmt_tenant true;
-    if Admission.offer ~deadline t.queue ~priority:0 s then update_pending t
+    if Admission.offer ~deadline t.queue s then update_pending t
     else begin
       s.Session.stmt_status <- Session.Shed;
       tn.tn_shed <- tn.tn_shed + 1;
@@ -479,19 +484,21 @@ let open_session t ~tenant =
 
 (* --- the scheduler loop ------------------------------------------------ *)
 
-(* Pick the next running statement to step.  Round-robin sweeps the
-   admission-order list; the SLO-aware policy steps the earliest
-   deadline (ties by statement id — deterministic either way). *)
+(* Pick the next running statement to step.  Round-robin steps the first
+   statement admitted after the last one stepped, wrapping around: one
+   execution unit per running statement per pass over the admission-order
+   list, and a statement admitted mid-pass joins the current pass.  The
+   SLO-aware policy steps the earliest deadline (ties by statement id —
+   deterministic either way). *)
 let pick t =
   match t.running with
   | [] -> None
   | runs ->
     (match t.options.policy with
      | Round_robin ->
-       let n = List.length runs in
-       let s = List.nth runs (t.rr mod n) in
-       t.rr <- t.rr + 1;
-       Some s
+       let i = if t.rr < List.length runs then t.rr else 0 in
+       t.rr <- i + 1;
+       Some (List.nth runs i)
      | Slo_aware ->
        Some
          (List.fold_left

@@ -5,7 +5,8 @@
     manager: tenants register with a latency-SLO class (interactive or
     batch), open long-lived {!Session}s, and submit statements that the
     scheduler admits (EDF over SLO deadlines under {!Slo_aware};
-    FIFO + round-robin under {!Round_robin}, the PR 1 baseline),
+    FIFO + round-robin under {!Round_robin}, the baseline that
+    {!Workload} batches run on),
     multiplexes one execution unit at a time over the shared
     {!Mqr_core.Dispatcher} step API, and funds through a tenant-aware
     {!Broker} (weighted fair-share floors, re-grants on completion).
@@ -26,8 +27,9 @@
     [TEN-LIFETIME], the multi-tenant generalization of RF-/PAR-LIFETIME. *)
 
 type policy =
-  | Round_robin  (** FIFO admission, round-robin stepping (PR 1 baseline);
-                     tenants share the broker globally *)
+  | Round_robin  (** FIFO admission; one execution unit per running
+                     statement per pass, in admission order; tenants
+                     share the broker globally *)
   | Slo_aware    (** EDF admission and stepping over SLO deadlines;
                      tenant fair-share floors in the broker *)
 

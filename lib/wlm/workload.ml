@@ -1,42 +1,22 @@
-module Engine = Mqr_core.Engine
 module Dispatcher = Mqr_core.Dispatcher
-module Query = Mqr_sql.Query
-module Rng = Mqr_stats.Rng
-module Trace = Mqr_obs.Trace
-module Metrics = Mqr_obs.Metrics
 
 type spec = {
   label : string;
   sql : string;
-  priority : int;
   mode : Dispatcher.mode;
   arrival_ms : float;
 }
 
-let spec ?(label = "") ?(priority = 0) ?(mode = Dispatcher.Full)
-    ?(arrival_ms = 0.0) sql =
-  { label; sql; priority; mode; arrival_ms }
-
-type memory_policy =
-  | Fixed_per_query of int
-  | Shared_broker
+let spec ?(label = "") ?(mode = Dispatcher.Full) ?(arrival_ms = 0.0) sql =
+  { label; sql; mode; arrival_ms }
 
 type options = {
   max_concurrency : int;
   max_queue : int;
-  memory : memory_policy;
   feedback : bool;
-  arrival_jitter_ms : float;
-  seed : int;
 }
 
-let default_options =
-  { max_concurrency = 4;
-    max_queue = 64;
-    memory = Shared_broker;
-    feedback = true;
-    arrival_jitter_ms = 0.0;
-    seed = 7 }
+let default_options = { max_concurrency = 4; max_queue = 64; feedback = true }
 
 type query_result = {
   label : string;
@@ -51,6 +31,7 @@ type query_result = {
 type report = {
   results : query_result list;
   rejected : (int * string) list;
+  failed : (int * string * string) list;
   makespan_ms : float;
   total_exec_ms : float;
   total_queue_ms : float;
@@ -60,218 +41,78 @@ type report = {
   stats_applied : int;
 }
 
-type state =
-  | Waiting
-  | Running of Query.t * Dispatcher.run
-  | Done
-  | Shed
-
-type entry = {
-  e_spec : spec;
-  e_index : int;
-  e_label : string;
-  e_arrival : float;
-  mutable e_state : state;
-  mutable e_admit : float;
-  mutable e_finish : float;
-  mutable e_report : Dispatcher.report option;
-}
+let tenant = "wl"
 
 let run ?(options = default_options) ?trace engine specs =
-  if options.max_concurrency < 1 then
-    invalid_arg "Workload.run: max_concurrency < 1";
-  let catalog = Engine.catalog engine in
-  let rng = Rng.create options.seed in
-  let broker =
-    match options.memory with
-    | Shared_broker ->
-      Some
-        (Broker.create ~budget_pages:(Engine.budget_pages engine)
-           ~max_concurrency:options.max_concurrency)
-    | Fixed_per_query _ -> None
+  let svc =
+    Service.create ?trace
+      ~options:
+        { Service.default_options with
+          Service.policy = Service.Round_robin;
+          max_concurrency = options.max_concurrency;
+          max_queue = options.max_queue;
+          feedback = options.feedback }
+      engine
   in
-  let cache = if options.feedback then Some (Stats_cache.create ()) else None in
-  let entries =
-    Array.of_list
-      (List.mapi
-         (fun i (s : spec) ->
-            let label =
-              if s.label = "" then Printf.sprintf "q%d" i else s.label
-            in
-            let jitter =
-              if options.arrival_jitter_ms > 0.0 then
-                Rng.float rng *. options.arrival_jitter_ms
-              else 0.0
-            in
-            { e_spec = s;
-              e_index = i;
-              e_label = label;
-              e_arrival = s.arrival_ms +. jitter;
-              e_state = Waiting;
-              e_admit = 0.0;
-              e_finish = 0.0;
-              e_report = None })
-         specs)
+  Service.add_tenant svc ~slo:Session.Batch tenant;
+  let session = Service.open_session svc ~tenant in
+  let n = List.length specs in
+  (* statement ids count from 0 on a fresh service, so a statement's id is
+     its spec's index and unlabelled specs are labelled q<index> *)
+  List.iteri
+    (fun i (s : spec) ->
+       (* the rest of the batch is still to come: the broker keeps an
+          admission floor for each such query, so the first leases cannot
+          take the whole budget and serialize the batch behind them *)
+       Broker.set_pending (Service.broker svc)
+         (Service.queued_count svc + n - i - 1);
+       ignore
+         (Session.submit ~label:s.label ~mode:s.mode ~arrival_ms:s.arrival_ms
+            session s.sql))
+    specs;
+  Service.drain svc;
+  let rep = Service.report svc in
+  let results, rejected, failed =
+    List.fold_right
+      (fun (s : Session.stmt) (results, rejected, failed) ->
+         let label = s.Session.stmt_label and index = s.Session.stmt_id in
+         match s.Session.stmt_status with
+         | Session.Done report ->
+           ( { label;
+               index;
+               report;
+               arrival_ms = s.Session.stmt_arrival_ms;
+               admit_ms = s.Session.stmt_admit_ms;
+               queue_ms = s.Session.stmt_admit_ms -. s.Session.stmt_arrival_ms;
+               finish_ms = s.Session.stmt_finish_ms }
+             :: results,
+             rejected,
+             failed )
+         | Session.Shed -> (results, (index, label) :: rejected, failed)
+         | Session.Failed msg -> (results, rejected, (index, label, msg) :: failed)
+         | Session.Queued | Session.Running | Session.Cancelled ->
+           (results, rejected, failed))
+      rep.Service.statements ([], [], [])
   in
-  let running = ref 0 in
-  let queue = Admission.create ~capacity:options.max_queue in
-  let rejected = ref [] in
-  (* queries submitted but not yet started: the broker reserves an
-     admission floor for each so early leases leave them room *)
-  let pending = ref (Array.length entries) in
-  let note_started () =
-    decr pending;
-    match broker with Some b -> Broker.set_pending b !pending | None -> ()
-  in
-  (match broker with Some b -> Broker.set_pending b !pending | None -> ());
-  let can_start () =
-    !running < options.max_concurrency
-    && (match broker with None -> true | Some b -> Broker.can_admit b)
-  in
-  let admit e ~now =
-    let i = e.e_index in
-    (* the admission time anchors the query's trace lane on the shared
-       workload timeline: span timestamps are per-query Sim_clock times
-       offset by it, so concurrent queries interleave correctly *)
-    e.e_admit <- Float.max e.e_arrival now;
-    let scope =
-      Option.map
-        (fun tr ->
-           Metrics.observe (Trace.metrics tr) "wlm.queue_ms"
-             (e.e_admit -. e.e_arrival);
-           Trace.scope tr ~offset_ms:e.e_admit ~label:e.e_label ())
-        trace
-    in
-    let budget_pages =
-      match options.memory with
-      | Fixed_per_query pages -> Some pages
-      | Shared_broker -> None
-    in
-    let broker_fn =
-      Option.map
-        (fun b ~min_pages ~max_pages ->
-           Broker.lease b ~id:i ~min_pages ~max_pages)
-        broker
-    in
-    let env_overlay =
-      Option.map (fun c q env -> Stats_cache.overlay c catalog q env) cache
-    in
-    let cfg =
-      Engine.dispatcher_config engine ~mode:e.e_spec.mode ?budget_pages
-        ?broker:broker_fn ?env_overlay
-        ~temp_prefix:(Printf.sprintf "_w%d" i) ?trace:scope ()
-    in
-    let query = Engine.bind_sql engine e.e_spec.sql in
-    note_started ();
-    let r = Dispatcher.start cfg query in
-    e.e_state <- Running (query, r);
-    incr running
-  in
-  let on_complete e run query (rep : Dispatcher.report) =
-    e.e_report <- Some rep;
-    e.e_finish <- e.e_admit +. Dispatcher.run_elapsed_ms run;
-    e.e_state <- Done;
-    decr running;
-    (match broker with Some b -> Broker.release b ~id:e.e_index | None -> ());
-    (match cache with
-     | Some c -> Stats_cache.publish c catalog query rep
-     | None -> ());
-    (* queued queries get first claim on the freed pages... *)
-    let rec drain () =
-      if can_start () then
-        match Admission.take queue with
-        | Some w ->
-          admit w ~now:e.e_finish;
-          drain ()
-        | None -> ()
-    in
-    drain ();
-    (* ...and whatever is left tops up the queries still in flight *)
-    match broker with
-    | None -> ()
-    | Some _ ->
-      Array.iter
-        (fun o ->
-           match o.e_state with
-           | Running (_, r) when o.e_index <> e.e_index ->
-             Dispatcher.refresh_memory r
-           | _ -> ())
-        entries
-  in
-  (* submit the batch: run immediately when a slot (and, under the broker,
-     enough free memory) is available; otherwise wait in priority order;
-     shed when the queue is full *)
-  Array.iter
-    (fun e ->
-       if can_start () then admit e ~now:e.e_arrival
-       else if Admission.offer queue ~priority:e.e_spec.priority e then ()
-       else begin
-         e.e_state <- Shed;
-         note_started ();  (* shed queries will never claim their floor *)
-         (match trace with
-          | Some tr -> Metrics.incr (Trace.metrics tr) "wlm.shed"
-          | None -> ());
-         rejected := (e.e_index, e.e_label) :: !rejected
-       end)
-    entries;
-  (* round-robin: one execution unit per running query per sweep *)
-  let rec drive () =
-    let progressed = ref false in
-    Array.iter
-      (fun e ->
-         match e.e_state with
-         | Running (query, r) ->
-           progressed := true;
-           (match Dispatcher.step r with
-            | Some rep -> on_complete e r query rep
-            | None -> ())
-         | Waiting | Done | Shed -> ())
-      entries;
-    if !progressed then drive ()
-  in
-  drive ();
-  let results =
-    Array.to_list entries
-    |> List.filter_map (fun e ->
-      match e.e_report with
-      | None -> None
-      | Some rep ->
-        Some
-          { label = e.e_label;
-            index = e.e_index;
-            report = rep;
-            arrival_ms = e.e_arrival;
-            admit_ms = e.e_admit;
-            queue_ms = e.e_admit -. e.e_arrival;
-            finish_ms = e.e_finish })
-  in
-  let makespan_ms =
-    List.fold_left (fun acc r -> Float.max acc r.finish_ms) 0.0 results
-  in
-  let total_exec_ms =
-    List.fold_left (fun acc r -> acc +. (r.finish_ms -. r.admit_ms)) 0.0 results
-  in
-  let total_queue_ms =
-    List.fold_left (fun acc r -> acc +. r.queue_ms) 0.0 results
-  in
+  let sum f = List.fold_left (fun acc r -> acc +. f r) 0.0 results in
   { results;
-    rejected = List.rev !rejected;
-    makespan_ms;
-    total_exec_ms;
-    total_queue_ms;
-    peak_leased_pages =
-      (match broker with Some b -> Broker.peak_leased b | None -> 0);
-    outstanding_leases =
-      (match broker with Some b -> Broker.outstanding b | None -> 0);
-    stats_published =
-      (match cache with Some c -> Stats_cache.published c | None -> 0);
-    stats_applied =
-      (match cache with Some c -> Stats_cache.applied c | None -> 0) }
+    rejected;
+    failed;
+    makespan_ms = rep.Service.makespan_ms;
+    total_exec_ms = sum (fun r -> r.finish_ms -. r.admit_ms);
+    total_queue_ms = sum (fun r -> r.queue_ms);
+    peak_leased_pages = rep.Service.peak_leased_pages;
+    outstanding_leases = rep.Service.outstanding_leases;
+    stats_published = rep.Service.stats_published;
+    stats_applied = rep.Service.stats_applied }
 
 let pp fmt (r : report) =
-  Fmt.pf fmt "@[<v>workload: %d completed, %d rejected@,"
+  Fmt.pf fmt "@[<v>workload: %d completed, %d rejected%s@,"
     (List.length r.results)
-    (List.length r.rejected);
+    (List.length r.rejected)
+    (match r.failed with
+     | [] -> ""
+     | f -> Printf.sprintf ", %d failed" (List.length f));
   List.iter
     (fun q ->
        Fmt.pf fmt "  %-16s arrive %8.1f  queued %8.1f  exec %9.1f  finish %9.1f@,"
@@ -282,6 +123,10 @@ let pp fmt (r : report) =
   List.iter
     (fun (i, label) -> Fmt.pf fmt "  %-16s rejected (queue full, index %d)@," label i)
     r.rejected;
+  List.iter
+    (fun (i, label, msg) ->
+       Fmt.pf fmt "  %-16s failed (index %d): %s@," label i msg)
+    r.failed;
   Fmt.pf fmt
     "  makespan %.1f ms  total exec %.1f ms  total queue %.1f ms@,\
     \  peak leased %d pages  stats published %d / applied %d@]"

@@ -158,6 +158,29 @@ let test_traceless_service () =
   check_contains "traceless ledger json" json "\"ledger\": []";
   Engine.shutdown eng
 
+(* --- one JSON escaper --- *)
+
+(* A label with a carriage return, a quote, a backslash and another
+   control character renders the same through the trace summary (lane
+   labels) and the monitor's statements view. *)
+let test_json_escape_shared () =
+  let label = "a\r\"b\\c\x01d" in
+  let escaped = {|a\r\"b\\c\u0001d|} in
+  Alcotest.(check string) "escaper" escaped (Trace.json_escape label);
+  let tr = Trace.create () in
+  let eng = engine () in
+  let svc = service ~trace:tr eng in
+  Service.add_tenant svc ~slo:Session.Batch "etl";
+  let e = Service.open_session svc ~tenant:"etl" in
+  ignore (Session.submit ~label e (sql "Q6"));
+  Service.drain svc;
+  check_contains "trace summary" (Trace.to_summary_json tr)
+    ("\"label\": \"etl/" ^ escaped ^ "\"");
+  check_contains "monitor statements json"
+    (Monitor.to_json svc Monitor.Statements)
+    ("\"label\": \"" ^ escaped ^ "\"");
+  Engine.shutdown eng
+
 let suite =
   [ Alcotest.test_case "view names round-trip" `Quick test_view_names;
     Alcotest.test_case "live statements view" `Quick
@@ -171,4 +194,6 @@ let suite =
     Alcotest.test_case "ledger view and prometheus export" `Quick
       test_ledger_and_prometheus;
     Alcotest.test_case "traceless service degrades gracefully" `Quick
-      test_traceless_service ]
+      test_traceless_service;
+    Alcotest.test_case "one json escaper for trace and monitor" `Quick
+      test_json_escape_shared ]

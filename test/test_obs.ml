@@ -150,7 +150,7 @@ let test_workload_spans_well_formed () =
   assert_well_formed tr;
   Alcotest.(check int) "one lane per query" 3 (List.length (Trace.queries tr));
   Alcotest.(check (list string)) "lanes keep the spec labels"
-    [ "Q3"; "Q10"; "Q5" ]
+    [ "wl/Q3"; "wl/Q10"; "wl/Q5" ]
     (List.map snd (Trace.queries tr));
   (* each query's span timestamps are anchored at its admission time *)
   List.iter
@@ -170,11 +170,11 @@ let test_workload_spans_well_formed () =
               (b >= qr.Wl.admit_ms -. 1e-9))
          begins)
     r.Wl.results;
-  (* queue waits landed in the wlm histogram *)
+  (* queue waits landed in the batch tenant's histogram *)
   let m = Trace.metrics tr in
-  match List.assoc_opt "wlm.queue_ms" (Metrics.histograms m) with
+  match List.assoc_opt "svc.wl.queue_ms" (Metrics.histograms m) with
   | Some s -> Alcotest.(check int) "one queue sample per query" 3 s.Metrics.n
-  | None -> Alcotest.fail "wlm.queue_ms histogram missing"
+  | None -> Alcotest.fail "svc.wl.queue_ms histogram missing"
 
 (* --- audit ledger vs the dispatcher event log --- *)
 

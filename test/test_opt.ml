@@ -484,28 +484,8 @@ let plan_identity_dump () =
     identity_catalogs;
   Buffer.contents buf
 
-let read_file path = In_channel.with_open_bin path In_channel.input_all
-
 let test_plan_identity_golden () =
-  let got = plan_identity_dump () in
-  let want = read_file "goldens/opt_plans.txt" in
-  if got <> want then begin
-    Out_channel.with_open_bin "opt_plans.gen.txt" (fun oc ->
-        Out_channel.output_string oc got);
-    let gl = String.split_on_char '\n' got
-    and wl = String.split_on_char '\n' want in
-    let rec first_diff i = function
-      | g :: gs, w :: ws -> if g = w then first_diff (i + 1) (gs, ws) else (i, g, w)
-      | g :: _, [] -> (i, g, "<end of golden>")
-      | [], w :: _ -> (i, "<end of dump>", w)
-      | [], [] -> (i, "", "")
-    in
-    let line, g, w = first_diff 1 (gl, wl) in
-    Alcotest.failf
-      "plan identity differs from goldens/opt_plans.txt at line %d\n  \
-       want: %s\n  got:  %s\n(full dump in opt_plans.gen.txt)"
-      line w g
-  end
+  Golden.check "opt_plans" (plan_identity_dump ())
 
 (* The optimizer memoises statistics-derived values for the length of one
    call.  Overriding statistics on the same environment between calls must

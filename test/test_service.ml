@@ -153,6 +153,92 @@ let test_slo_aware_beats_round_robin () =
        slo)
     true (slo < rr)
 
+(* --- round-robin fairness --- *)
+
+(* One step at a time under round-robin: the statement a step advanced is
+   the one whose run clock moved or that completed.  Between two
+   consecutive steps of any statement, every other statement running
+   throughout is stepped exactly once and none is stepped twice, also
+   across completions and admissions in the middle of a pass. *)
+let test_round_robin_fair () =
+  let eng = engine () in
+  let svc = service ~policy:Service.Round_robin ~max_concurrency:3 eng in
+  Service.add_tenant svc ~slo:Session.Batch "etl";
+  let sess = Service.open_session svc ~tenant:"etl" in
+  List.iter
+    (fun n -> ignore (Session.submit ~label:n sess (sql n)))
+    [ "Q6"; "Q5"; "Q10"; "Q3"; "Q7"; "Q1" ];
+  let id (st : Session.stmt) = st.Session.stmt_id in
+  let clock (st : Session.stmt) =
+    match st.Session.stmt_run with
+    | Some run -> Dispatcher.run_elapsed_ms run
+    | None -> 0.0
+  in
+  (* (stepped id, ids running before the step), in step order *)
+  let trace = ref [] in
+  let mid_pass_retire = ref false and mid_pass_admit = ref false in
+  let rec go () =
+    let before = Service.running_statements svc in
+    let clocks = List.map (fun st -> (id st, clock st)) before in
+    if Service.step svc then begin
+      let after = Service.running_statements svc in
+      let moved =
+        List.filter
+          (fun st ->
+             clock st <> List.assoc (id st) clocks
+             || not (List.memq st after))
+          before
+      in
+      (match moved with
+       | [ st ] ->
+         trace := (id st, List.map id before) :: !trace;
+         if not (List.memq st after) && List.length after > 1 then begin
+           mid_pass_retire := true;
+           if List.exists (fun a -> not (List.memq a before)) after then
+             mid_pass_admit := true
+         end
+       | l -> Alcotest.failf "one step advanced %d statements" (List.length l));
+      go ()
+    end
+  in
+  go ();
+  assert_all_done sess;
+  Alcotest.(check bool) "a statement retired mid-pass" true !mid_pass_retire;
+  Alcotest.(check bool) "a statement was admitted mid-pass" true
+    !mid_pass_admit;
+  let steps = Array.of_list (List.rev !trace) in
+  Array.iteri
+    (fun i (a, _) ->
+       (* the next step of the same statement, if any *)
+       let rec next j =
+         if j >= Array.length steps then None
+         else if fst steps.(j) = a then Some j
+         else next (j + 1)
+       in
+       match next (i + 1) with
+       | None -> ()
+       | Some j ->
+         let between = Array.sub steps (i + 1) (j - i - 1) in
+         let count b =
+           Array.fold_left
+             (fun n (x, _) -> if x = b then n + 1 else n) 0 between
+         in
+         List.iter
+           (fun b ->
+              if b <> a then begin
+                let n = count b in
+                if n > 1 then
+                  Alcotest.failf "statement %d stepped %d times between two \
+                                  steps of %d" b n a;
+                (* running at both steps of [a], so throughout *)
+                if List.mem b (snd steps.(j)) && n <> 1 then
+                  Alcotest.failf "statement %d skipped between steps %d and \
+                                  %d of %d" b i j a
+              end)
+           (snd steps.(i)))
+    steps;
+  Engine.shutdown eng
+
 (* --- session lifecycle --- *)
 
 let test_lifecycle () =
@@ -268,6 +354,8 @@ let suite =
       test_pool_invisible_to_simulation;
     Alcotest.test_case "slo-aware beats round-robin" `Quick
       test_slo_aware_beats_round_robin;
+    Alcotest.test_case "round-robin steps every statement once per pass"
+      `Quick test_round_robin_fair;
     Alcotest.test_case "session lifecycle" `Quick test_lifecycle;
     Alcotest.test_case "cancel running releases lease" `Quick
       test_cancel_running_releases_lease;

@@ -18,10 +18,7 @@ let specs names =
     names
 
 let serial_options =
-  { Wl.default_options with
-    Wl.max_concurrency = 1;
-    memory = Wl.Fixed_per_query 64;
-    feedback = false }
+  { Wl.default_options with Wl.max_concurrency = 1; feedback = false }
 
 (* --- broker --- *)
 
@@ -120,48 +117,43 @@ let test_broker_tenant_lease_accounting () =
 
 (* --- admission queue --- *)
 
-let test_admission_priority_order () =
+let take q = Admission.take_if q (fun _ -> true)
+
+let test_admission_fifo_order () =
   let q = Admission.create ~capacity:3 in
-  Alcotest.(check bool) "offer a" true (Admission.offer q ~priority:0 "a");
-  Alcotest.(check bool) "offer b" true (Admission.offer q ~priority:5 "b");
-  Alcotest.(check bool) "offer c" true (Admission.offer q ~priority:5 "c");
-  Alcotest.(check bool) "full" false (Admission.offer q ~priority:9 "d");
-  Alcotest.(check (option string)) "highest priority first" (Some "b")
-    (Admission.take q);
-  Alcotest.(check (option string)) "fifo within a priority" (Some "c")
-    (Admission.take q);
-  Alcotest.(check (option string)) "lowest last" (Some "a") (Admission.take q);
-  Alcotest.(check (option string)) "empty" None (Admission.take q)
+  Alcotest.(check bool) "offer a" true (Admission.offer q "a");
+  Alcotest.(check bool) "offer b" true (Admission.offer q "b");
+  Alcotest.(check bool) "offer c" true (Admission.offer q "c");
+  Alcotest.(check bool) "full" false (Admission.offer q "d");
+  Alcotest.(check (option string)) "first in first out" (Some "a") (take q);
+  Alcotest.(check (option string)) "then the second" (Some "b") (take q);
+  Alcotest.(check (option string)) "last in last out" (Some "c") (take q);
+  Alcotest.(check (option string)) "empty" None (take q)
 
 let test_admission_deadline_order () =
   let q = Admission.create ~capacity:4 in
-  (* no deadline = infinity: priority order is preserved exactly *)
-  Alcotest.(check bool) "offer slack" true
-    (Admission.offer q ~priority:9 "slack");
+  Alcotest.(check bool) "offer slack" true (Admission.offer q "slack");
   Alcotest.(check bool) "offer late" true
-    (Admission.offer q ~deadline:100.0 ~priority:0 "late");
+    (Admission.offer q ~deadline:100.0 "late");
   Alcotest.(check bool) "offer soon" true
-    (Admission.offer q ~deadline:5.0 ~priority:0 "soon");
-  (* the tightest deadline overtakes everything, even higher priority *)
+    (Admission.offer q ~deadline:5.0 "soon");
+  (* the tightest deadline overtakes everything queued before it *)
   Alcotest.(check (option string)) "earliest deadline first" (Some "soon")
-    (Admission.take q);
-  Alcotest.(check (option string)) "next deadline" (Some "late")
-    (Admission.take q);
-  Alcotest.(check (option string)) "no deadline last" (Some "slack")
-    (Admission.take q)
+    (take q);
+  Alcotest.(check (option string)) "next deadline" (Some "late") (take q);
+  Alcotest.(check (option string)) "no deadline last" (Some "slack") (take q)
 
 let test_admission_take_if_skips () =
   let q = Admission.create ~capacity:4 in
-  ignore (Admission.offer q ~deadline:5.0 ~priority:0 "capped");
-  ignore (Admission.offer q ~deadline:10.0 ~priority:0 "second");
-  ignore (Admission.offer q ~priority:0 "third");
+  ignore (Admission.offer q ~deadline:5.0 "capped");
+  ignore (Admission.offer q ~deadline:10.0 "second");
+  ignore (Admission.offer q "third");
   (* the head's tenant is at its cap: skip it without reordering *)
   Alcotest.(check (option string)) "best eligible item" (Some "second")
     (Admission.take_if q (fun x -> x <> "capped"));
   Alcotest.(check (option string)) "skipped head still first" (Some "capped")
-    (Admission.take q);
-  Alcotest.(check (option string)) "rest untouched" (Some "third")
-    (Admission.take q);
+    (take q);
+  Alcotest.(check (option string)) "rest untouched" (Some "third") (take q);
   Alcotest.(check bool) "drained" true (Admission.is_empty q)
 
 (* --- workload --- *)
@@ -202,15 +194,16 @@ let test_concurrent_matches_serial () =
     (serial.Wl.total_queue_ms > 0.0)
 
 let test_workload_deterministic () =
-  let names = [ "Q3"; "Q6"; "Q10" ] in
-  let options =
-    { Wl.default_options with
-      Wl.max_concurrency = 2;
-      arrival_jitter_ms = 100.0;
-      seed = 42 }
+  (* staggered arrivals; with two slots the third query waits in the queue *)
+  let batch () =
+    List.map2
+      (fun n arrival_ms ->
+         Wl.spec ~label:n ~arrival_ms (Queries.find n).Queries.sql)
+      [ "Q3"; "Q6"; "Q10" ] [ 0.0; 35.0; 80.0 ]
   in
-  let r1 = Wl.run ~options (engine ()) (specs names) in
-  let r2 = Wl.run ~options (engine ()) (specs names) in
+  let options = { Wl.default_options with Wl.max_concurrency = 2 } in
+  let r1 = Wl.run ~options (engine ()) (batch ()) in
+  let r2 = Wl.run ~options (engine ()) (batch ()) in
   Alcotest.(check (float 0.0)) "same makespan" r1.Wl.makespan_ms
     r2.Wl.makespan_ms;
   List.iter2
@@ -236,32 +229,87 @@ let test_rejection_when_queue_full () =
   Alcotest.(check (list (pair int string))) "third was shed" [ (2, "Q6") ]
     r.Wl.rejected
 
-let test_priority_jumps_the_queue () =
-  let base = (Queries.find "Q6").Queries.sql in
-  let batch =
-    [ Wl.spec ~label:"first" ~priority:0 base;
-      Wl.spec ~label:"low" ~priority:0 base;
-      Wl.spec ~label:"high" ~priority:5 base ]
-  in
-  let r = Wl.run ~options:serial_options (engine ()) batch in
-  let admit label =
-    (List.find (fun (q : Wl.query_result) -> q.Wl.label = label) r.Wl.results)
-      .Wl.admit_ms
-  in
-  Alcotest.(check bool) "high priority admitted before low" true
-    (admit "high" < admit "low")
-
 let test_feedback_applies_stats () =
   let names = [ "Q10"; "Q10" ] in
-  let options =
-    { Wl.default_options with
-      Wl.max_concurrency = 1;
-      memory = Wl.Fixed_per_query 64 }
-  in
+  let options = { Wl.default_options with Wl.max_concurrency = 1 } in
   let r = Wl.run ~options (engine ()) (specs names) in
   Alcotest.(check bool) "first run published" true (r.Wl.stats_published > 0);
   Alcotest.(check bool) "second run applied cached stats" true
     (r.Wl.stats_applied > 0)
+
+(* --- batch timelines ----------------------------------------------------- *)
+
+(* Every batch below, query by query: label, admission and finish times
+   as IEEE bit patterns, plan switches, collectors and a digest of the
+   canonical result rows, then the batch's makespan and feedback-cache
+   counts.  Concurrency 1 is the serial baseline: one query holds the
+   whole budget at a time, so its lease peak says nothing about sharing
+   and is left out.  A change to how the scheduler admits, steps or
+   funds queries must leave every line exactly as it was. *)
+
+let batch_mixes =
+  [ [ "Q3"; "Q5"; "Q7"; "Q10" ];
+    [ "Q8"; "Q5"; "Q3"; "Q7"; "Q10"; "Q1"; "Q6" ];
+    [ "Q10"; "Q10"; "Q5"; "Q5"; "Q7" ] ]
+
+let bits f = Printf.sprintf "%016Lx" (Int64.bits_of_float f)
+
+let rows_digest rows =
+  Reference.canonical rows
+  |> List.map (String.concat "|")
+  |> String.concat "\n" |> Digest.string |> Digest.to_hex
+
+
+let batch_timelines () =
+  let catalog = Tpcd.experiment_catalog ~sf:0.001 () in
+  let buf = Buffer.create 4096 in
+  List.iter
+    (fun mix ->
+       List.iter
+         (fun budget ->
+            List.iter
+              (fun concurrency ->
+                 List.iter
+                   (fun feedback ->
+                      let engine =
+                        Engine.create ~budget_pages:budget ~pool_pages:512
+                          catalog
+                      in
+                      let r =
+                        Wl.run
+                          ~options:
+                            { Wl.default_options with
+                              Wl.max_concurrency = concurrency;
+                              feedback }
+                          engine (specs mix)
+                      in
+                      Printf.bprintf buf
+                        "batch %s budget=%d concurrency=%d feedback=%b\n"
+                        (String.concat "," mix) budget concurrency feedback;
+                      List.iter
+                        (fun (q : Wl.query_result) ->
+                           let d = q.Wl.report in
+                           Printf.bprintf buf
+                             "  %s admit=%s finish=%s switches=%d \
+                              collectors=%d rows=%s\n"
+                             q.Wl.label (bits q.Wl.admit_ms)
+                             (bits q.Wl.finish_ms) d.Dispatcher.switches
+                             d.Dispatcher.collectors
+                             (rows_digest d.Dispatcher.rows))
+                        r.Wl.results;
+                      Printf.bprintf buf "  makespan=%s" (bits r.Wl.makespan_ms);
+                      if concurrency > 1 then
+                        Printf.bprintf buf " peak=%d" r.Wl.peak_leased_pages;
+                      Printf.bprintf buf " published=%d applied=%d\n"
+                        r.Wl.stats_published r.Wl.stats_applied)
+                   [ true; false ])
+              [ 1; 2; 4 ])
+         [ 24; 64 ])
+    batch_mixes;
+  Buffer.contents buf
+
+let test_batch_timelines_golden () =
+  Golden.check "wlm_batches" (batch_timelines ())
 
 let suite =
   [ Alcotest.test_case "broker never oversubscribes" `Quick
@@ -274,8 +322,8 @@ let suite =
       test_broker_tenant_floors_prevent_starvation;
     Alcotest.test_case "broker tenant lease accounting" `Quick
       test_broker_tenant_lease_accounting;
-    Alcotest.test_case "admission priority order" `Quick
-      test_admission_priority_order;
+    Alcotest.test_case "admission fifo order" `Quick
+      test_admission_fifo_order;
     Alcotest.test_case "admission deadline order" `Quick
       test_admission_deadline_order;
     Alcotest.test_case "admission take_if skips" `Quick
@@ -286,7 +334,7 @@ let suite =
       test_workload_deterministic;
     Alcotest.test_case "rejection when queue full" `Quick
       test_rejection_when_queue_full;
-    Alcotest.test_case "priority jumps the queue" `Quick
-      test_priority_jumps_the_queue;
     Alcotest.test_case "feedback applies stats" `Quick
-      test_feedback_applies_stats ]
+      test_feedback_applies_stats;
+    Alcotest.test_case "batch timelines golden" `Quick
+      test_batch_timelines_golden ]
