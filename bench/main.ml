@@ -1180,6 +1180,97 @@ let optimizer_scenario () =
     Queries.all
 
 (* ------------------------------------------------------------------ *)
+(* Collectors: wall ns and minor words per row of one Collector.collect
+   call per spec shape over TPC-D tables and joined intermediates, plus
+   Histogram.build per kind on a 512-value sample.  Print-only: no
+   BENCH_results.json points. *)
+
+let collectors_scenario () =
+  let module Collector = Mqr_exec.Collector in
+  let module Exec_ctx = Mqr_exec.Exec_ctx in
+  let module Join = Mqr_exec.Join in
+  let module Histogram = Mqr_stats.Histogram in
+  let module Heap_file = Mqr_storage.Heap_file in
+  let module Schema = Mqr_storage.Schema in
+  let reps = optimizer_reps in
+  header
+    (Printf.sprintf
+       "Collectors: Collector.collect wall ns/row (min/median of %d) and \
+        minor words per row, sf %g"
+       reps sf);
+  let catalog = Datagen.generate { Datagen.default with Datagen.sf } in
+  let table name =
+    let heap = (Catalog.find_exn catalog name).Catalog.heap in
+    ( Array.init (Heap_file.tuple_count heap) (Heap_file.get heap),
+      Schema.qualify (Heap_file.schema heap) name )
+  in
+  let lineitem = table "lineitem" and orders = table "orders" in
+  let lo =
+    let r =
+      Join.hash_join (Exec_ctx.create ()) ~mem_pages:max_int ~build:orders
+        ~probe:lineitem ~keys:[ ("lineitem.l_orderkey", "orders.o_orderkey") ]
+        ()
+    in
+    (r.Join.rows, r.Join.schema)
+  in
+  let s = Collector.spec in
+  let shapes =
+    [ ("lineitem", "trivial", lineitem, s ());
+      ( "lineitem", "two-hist", lineitem,
+        s ~hist_cols:[ "lineitem.l_partkey"; "lineitem.l_shipdate" ] () );
+      ("lineitem", "string-hist", lineitem, s ~hist_cols:[ "lineitem.l_shipmode" ] ());
+      ( "lineitem", "distinct", lineitem,
+        s ~distinct_cols:[ "lineitem.l_orderkey"; "lineitem.l_extendedprice" ] () );
+      ("orders", "trivial", orders, s ());
+      ( "orders", "date-hist+distinct", orders,
+        s ~hist_cols:[ "orders.o_orderdate" ] ~distinct_cols:[ "orders.o_custkey" ] () );
+      ("li*orders", "trivial", lo, s ());
+      ( "li*orders", "hist+distinct", lo,
+        s ~hist_cols:[ "orders.o_orderdate" ] ~distinct_cols:[ "lineitem.l_suppkey" ] () ) ]
+  in
+  Fmt.pr "  %-10s %-19s %7s %10s %10s %10s@." "input" "spec" "rows" "min ns"
+    "median ns" "words";
+  List.iter
+    (fun (input, name, (rows, schema), spec) ->
+       let n = float_of_int (max 1 (Array.length rows)) in
+       let runs =
+         List.init reps (fun _ ->
+             let ctx = Exec_ctx.create () in
+             let w0 = Gc.minor_words () and t0 = Unix.gettimeofday () in
+             ignore (Collector.collect ctx schema spec rows);
+             let ns = 1e9 *. (Unix.gettimeofday () -. t0) /. n in
+             (ns, (Gc.minor_words () -. w0) /. n))
+       in
+       let mn, med = min_median (List.map fst runs) in
+       Fmt.pr "  %-10s %-19s %7d %10.1f %10.1f %10.2f@." input name
+         (Array.length rows) mn med (snd (List.hd runs)))
+    shapes;
+  (* a 512-value sample, as one reservoir page holds *)
+  let rows, schema = lineitem in
+  let col = Schema.index_of schema "lineitem.l_extendedprice" in
+  let stride = max 1 (Array.length rows / 512) in
+  let data =
+    Array.init (min 512 (Array.length rows)) (fun i ->
+        Mqr_storage.Value.to_float rows.(i * stride).(col))
+  in
+  let builds = 50 in
+  Fmt.pr "@.  Histogram.build on %d values, 32 buckets: us per build \
+          (min/median of %d)@." (Array.length data) reps;
+  List.iter
+    (fun kind ->
+       let runs =
+         List.init reps (fun _ ->
+             let t0 = Unix.gettimeofday () in
+             for _ = 1 to builds do
+               ignore (Histogram.build kind ~buckets:32 data)
+             done;
+             1e6 *. (Unix.gettimeofday () -. t0) /. float_of_int builds)
+       in
+       let mn, med = min_median runs in
+       Fmt.pr "  %-12s %10.1f %10.1f@." (Histogram.kind_to_string kind) mn med)
+    Histogram.[ Equi_width; Equi_depth; Maxdiff; Serial; V_optimal ]
+
+(* ------------------------------------------------------------------ *)
 (* Bechamel micro-benchmarks: one Test.make per figure/table id.       *)
 
 let micro () =
@@ -1259,6 +1350,7 @@ let () =
    | "service" -> service_scenario ()
    | "progress" -> progress_scenario ()
    | "optimizer" -> optimizer_scenario ()
+   | "collectors" -> collectors_scenario ()
    | "micro" -> micro ()
    | "figures" ->
      figure10 ();
@@ -1284,12 +1376,13 @@ let () =
      service_scenario ();
      progress_scenario ();
      optimizer_scenario ();
+     collectors_scenario ();
      micro ()
    | other ->
      Fmt.epr
        "unknown experiment %S (f10 f11 f12 xfig3 sens overhead joins hist \
         hybrid scale rf wlm sanitize bounds trace parallel service progress \
-        optimizer micro all)@."
+        optimizer collectors micro all)@."
        other;
      exit 1)
     which;

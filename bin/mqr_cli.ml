@@ -73,17 +73,14 @@ let parallel_arg =
    instead of dying with a backtrace *)
 let friendly action =
   try action () with
-  | Mqr_sql.Lexer.Lex_error m -> Fmt.epr "error: %s@." m; exit 1
-  | Verifier.Rejected { what; diags } ->
-    Fmt.epr "plan verification failed (%s):@.%a" what Diagnostic.pp_report
-      diags;
-    exit 1
-  | Mqr_sql.Parser.Parse_error m -> Fmt.epr "error: %s@." m; exit 1
-  | Mqr_sql.Query.Bind_error m -> Fmt.epr "error: %s@." m; exit 1
-  | Engine.Dml_error m -> Fmt.epr "error: %s@." m; exit 1
-  | Mqr_catalog.Persist.Corrupt m -> Fmt.epr "error: corrupt database: %s@." m; exit 1
-  | Invalid_argument m -> Fmt.epr "error: %s@." m; exit 1
-  | Sys_error m -> Fmt.epr "error: %s@." m; exit 1
+  | e ->
+    (match Engine.error_message e with
+     | Some m -> Fmt.epr "error: %s@." m; exit 1
+     | None -> raise e)
+
+(* REPL loops report every error and carry on *)
+let error_text e =
+  Option.value (Engine.error_message e) ~default:(Printexc.to_string e)
 
 let resolve_sql q =
   match Queries.find q with
@@ -372,7 +369,7 @@ let repl_cmd =
            end
          with
          | Exit -> raise Exit
-         | e -> Fmt.pr "error: %s@." (Printexc.to_string e));
+         | e -> Fmt.pr "error: %s@." (error_text e));
         loop ()
     in
     (try loop () with Exit -> ());
@@ -434,7 +431,7 @@ let load_repl_cmd =
            end
          with
          | Exit -> raise Exit
-         | e -> Fmt.pr "error: %s@." (Printexc.to_string e));
+         | e -> Fmt.pr "error: %s@." (error_text e));
         loop ()
     in
     (try loop () with Exit -> ());

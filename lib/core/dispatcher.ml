@@ -172,6 +172,14 @@ type report = {
 (* ------------------------------------------------------------------ *)
 (* Run state.                                                          *)
 
+(* An in-memory intermediate result, with its byte total counted once by
+   the collector that registered it. *)
+type temp = {
+  t_rows : Tuple.t array;
+  t_schema : Schema.t;
+  t_bytes : int;
+}
+
 type state = {
   cfg : config;
   ctx : Exec_ctx.t;
@@ -182,7 +190,7 @@ type state = {
   (* original optimizer estimates per node id — the plan annotations *)
   orig_op_ms : (int, float) Hashtbl.t;
   (* in-memory intermediate results by temp-table name *)
-  store : (string, Tuple.t array * Schema.t) Hashtbl.t;
+  store : (string, temp) Hashtbl.t;
   (* observed column statistics, re-applied to every new Stats_env *)
   mutable overrides : (string * Column_stats.t) list;
   mutable temp_names : string list;
@@ -393,7 +401,8 @@ let apply_overrides st env =
    materialized), the live memory budget, and the mu collector bound. *)
 let verifier_context st =
   Verifier.context
-    ~temp_schema:(fun name -> Option.map snd (Hashtbl.find_opt st.store name))
+    ~temp_schema:(fun name ->
+        Option.map (fun t -> t.t_schema) (Hashtbl.find_opt st.store name))
     ~budget_pages:(Memory_manager.budget_pages st.memman)
     ~mu:st.cfg.params.Reopt_policy.mu st.cfg.catalog
 
@@ -808,15 +817,13 @@ and exec_node_inner st (p : Plan.t) : Tuple.t array * Schema.t =
     in
     (apply_runtime_filters st p.Plan.schema rows, p.Plan.schema)
   | Plan.Materialized { name; on_disk; _ } ->
-    let rows, schema =
+    let { t_rows = rows; t_schema = schema; t_bytes } =
       match Hashtbl.find_opt st.store name with
-      | Some r -> r
+      | Some t -> t
       | None -> invalid_arg ("Dispatcher: unknown intermediate " ^ name)
     in
     if on_disk then begin
-      let pages =
-        Exec_ctx.pages_of_bytes (Rows_ops.bytes_of_rows rows)
-      in
+      let pages = Exec_ctx.pages_of_bytes t_bytes in
       Sim_clock.charge_seq_read ctx.Exec_ctx.clock pages;
       Sim_clock.charge_cpu_tuples ctx.Exec_ctx.clock (Array.length rows)
     end;
@@ -999,6 +1006,7 @@ let rec replace_node (p : Plan.t) ~target_id ~replacement =
 (* ------------------------------------------------------------------ *)
 (* Registering an intermediate result as a temp table.                 *)
 
+(* Returns the intermediate's byte total. *)
 let register_temp st ~name ~rows ~schema =
   let heap = Heap_file.create schema in
   Array.iter (Heap_file.append heap) rows;
@@ -1020,7 +1028,9 @@ let register_temp st ~name ~rows ~schema =
             | None -> Collector.column_stats_of_observed base_obs ~column:q)
          (Schema.columns schema));
   st.temp_names <- name :: st.temp_names;
-  Hashtbl.replace st.store name (rows, schema)
+  Hashtbl.replace st.store name
+    { t_rows = rows; t_schema = schema; t_bytes = base_obs.Collector.bytes };
+  base_obs.Collector.bytes
 
 (* ------------------------------------------------------------------ *)
 (* Remainder-query reconstruction (paper Figure 6: SQL over Temp_i).   *)
@@ -1040,13 +1050,13 @@ let remainder_query st (current : Plan.t) : Query.t =
       (* a temp table introduced by an earlier plan switch: its heap schema
          already carries the original qualifiers *)
       (match Hashtbl.find_opt st.store alias with
-       | Some (_, schema) -> { Query.table = alias; alias; rel_schema = schema }
+       | Some t -> { Query.table = alias; alias; rel_schema = t.t_schema }
        | None -> invalid_arg ("Dispatcher: unknown alias " ^ alias))
   in
   let rec walk (p : Plan.t) =
     match p.Plan.node with
     | Plan.Materialized { name; _ } ->
-      let _, schema = Hashtbl.find st.store name in
+      let schema = (Hashtbl.find st.store name).t_schema in
       add_relation { Query.table = name; alias = name; rel_schema = schema }
     | Plan.Seq_scan { alias; filter; _ } | Plan.Index_scan { alias; filter; _ } ->
       add_relation (original_relation alias);
@@ -1100,10 +1110,8 @@ let pending_materialize_ms st (current : Plan.t) =
     (fun acc (n : Plan.t) ->
        match n.Plan.node with
        | Plan.Materialized { name; on_disk = false; _ } ->
-         let rows, _ = Hashtbl.find st.store name in
-         let pages =
-           float_of_int (Exec_ctx.pages_of_bytes (Rows_ops.bytes_of_rows rows))
-         in
+         let bytes = (Hashtbl.find st.store name).t_bytes in
+         let pages = float_of_int (Exec_ctx.pages_of_bytes bytes) in
          acc +. (pages *. st.cfg.model.Sim_clock.write_ms)
        | _ -> acc)
     0.0 current
@@ -1112,8 +1120,8 @@ let charge_materialization st (current : Plan.t) =
   let rec fix (p : Plan.t) =
     match p.Plan.node with
     | Plan.Materialized ({ name; on_disk = false; _ } as m) ->
-      let rows, _ = Hashtbl.find st.store name in
-      let pages = Exec_ctx.pages_of_bytes (Rows_ops.bytes_of_rows rows) in
+      let bytes = (Hashtbl.find st.store name).t_bytes in
+      let pages = Exec_ctx.pages_of_bytes bytes in
       Sim_clock.charge_write st.ctx.Exec_ctx.clock pages;
       { p with Plan.node = Plan.Materialized { m with on_disk = true } }
     | _ -> Plan.with_children p (List.map fix (Plan.children p))
@@ -1498,7 +1506,7 @@ let step_once r =
        if st.cfg.verify = Verifier.Sanitize then
          assert_observed_bounds st ~what:"executed unit" j;
        let name = fresh_temp_name st in
-       register_temp st ~name ~rows ~schema;
+       let bytes = register_temp st ~name ~rows ~schema in
        let leaf =
          { Plan.id = fresh_plan_id st;
            node =
@@ -1510,8 +1518,7 @@ let step_once r =
                width =
                  (if Array.length rows = 0 then 1.0
                   else
-                    float_of_int (Rows_ops.bytes_of_rows rows)
-                    /. float_of_int (Array.length rows));
+                    float_of_int bytes /. float_of_int (Array.length rows));
                op_ms = 0.0;
                total_ms = 0.0 };
            min_mem = 0;

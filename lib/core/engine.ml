@@ -136,6 +136,20 @@ type exec_result =
 
 exception Dml_error of string
 
+let error_message = function
+  | Mqr_sql.Lexer.Lex_error m
+  | Parser.Parse_error m
+  | Query.Bind_error m
+  | Dml_error m
+  | Invalid_argument m
+  | Sys_error m -> Some m
+  | Mqr_catalog.Persist.Corrupt m -> Some ("corrupt database: " ^ m)
+  | Verifier.Rejected { what; diags } ->
+    Some
+      (Fmt.str "plan verification failed (%s):@\n%a" what
+         Mqr_analysis.Diagnostic.pp_report diags)
+  | _ -> None
+
 let const_value schema_col e =
   let v =
     match e with

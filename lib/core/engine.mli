@@ -122,6 +122,13 @@ type exec_result =
 
 exception Dml_error of string
 
+(** The user-facing text of an error the engine reports by exception
+    (lexing, parsing, binding, DML, plan verification, a corrupt database
+    file, an invalid argument or a failed system call): the message alone,
+    without the exception's constructor.  [None] for any other exception.
+    The CLI and the query service both render failures through it. *)
+val error_message : exn -> string option
+
 val execute :
   t -> ?mode:Dispatcher.mode -> ?probe_rows:int -> string -> exec_result
 

@@ -39,6 +39,46 @@ let estimated_cost_ms s ~rows =
   let stats = List.length s.hist_cols + List.length s.distinct_cols in
   rows *. (base_tuple_ms +. (float_of_int stats *. stat_tuple_ms))
 
+(* [lt a b]: Value.compare a b < 0, without the generic dispatch when
+   both sides have the same representation. *)
+let[@inline] lt a b =
+  match a, b with
+  | Value.Int x, Value.Int y | Value.Date x, Value.Date y -> x < y
+  | Value.Float x, Value.Float y -> Float.compare x y < 0
+  | Value.String x, Value.String y -> String.compare x y < 0
+  | _ -> Value.compare a b < 0
+
+(* Value.byte_size, with the common cases inlined into the row loop (a
+   call into another library is never inlined under dune's default
+   profile).  The collector tests hold it to Tuple.byte_size. *)
+let[@inline] byte_size = function
+  | Value.Int _ | Value.Float _ -> 8
+  | Value.Date _ -> 4
+  | Value.String s -> 4 + String.length s
+  | v -> Value.byte_size v
+
+(* The string dictionary of a sample (sorted, rank as its float code) and
+   the sample mapped through it, or [None] when the sample has no
+   strings. *)
+let encode_strings sample =
+  let module SS = Set.Make (String) in
+  let set =
+    Array.fold_left
+      (fun acc v -> match v with Value.String s -> SS.add s acc | _ -> acc)
+      SS.empty sample
+  in
+  if SS.is_empty set then None
+  else begin
+    let dict = List.mapi (fun i s -> (s, float_of_int i)) (SS.elements set) in
+    let code = Hashtbl.create (2 * List.length dict) in
+    List.iter (fun (s, f) -> Hashtbl.replace code s f) dict;
+    let to_float = function
+      | Value.String s -> Hashtbl.find code s
+      | v -> Value.to_float v
+    in
+    Some (dict, Array.map to_float sample)
+  end
+
 let collect ctx schema s rows =
   let clock = ctx.Exec_ctx.clock in
   let n = Array.length rows in
@@ -51,67 +91,62 @@ let collect ctx schema s rows =
   (* Always-on running counters. *)
   let bytes = ref 0 in
   let mins = Array.make arity Value.Null and maxs = Array.make arity Value.Null in
-  (* Requested statistics. *)
-  let hist_targets =
-    List.map (fun c -> (c, Schema.index_of schema c, Reservoir.create ~capacity:s.sample_size ())) s.hist_cols
+  (* Requested statistics, as flat arrays the row loop indexes. *)
+  let hist_idx = Array.of_list (List.map (Schema.index_of schema) s.hist_cols) in
+  let hist_res =
+    Array.map (fun _ -> Reservoir.create ~capacity:s.sample_size ()) hist_idx
   in
-  let distinct_targets =
-    List.map (fun c -> (c, Schema.index_of schema c, Distinct.create ())) s.distinct_cols
-  in
-  Array.iter
-    (fun t ->
-       bytes := !bytes + Tuple.byte_size t;
-       for i = 0 to arity - 1 do
-         if not (Value.is_null t.(i)) then begin
-           mins.(i) <- Value.min_value mins.(i) t.(i);
-           maxs.(i) <- Value.max_value maxs.(i) t.(i)
-         end
-       done;
-       List.iter
-         (fun (_, i, res) ->
-            if not (Value.is_null t.(i)) then Reservoir.add res t.(i))
-         hist_targets;
-       List.iter
-         (fun (_, i, d) ->
-            if not (Value.is_null t.(i)) then Distinct.add d t.(i))
-         distinct_targets)
-    rows;
+  let dist_idx = Array.of_list (List.map (Schema.index_of schema) s.distinct_cols) in
+  let dist = Array.map (fun _ -> Distinct.create ()) dist_idx in
+  (* One fused pass: tuple bytes, min/max (the first non-null initialises
+     both; ties keep the incumbent), then the reservoirs and the distinct
+     counters of the requested columns. *)
+  for r = 0 to n - 1 do
+    let t = rows.(r) in
+    bytes := !bytes + Tuple.header_bytes;
+    for i = 0 to arity - 1 do
+      let v = t.(i) in
+      bytes := !bytes + byte_size v;
+      match v, mins.(i) with
+      | Value.Null, _ -> ()
+      | _, Value.Null ->
+        mins.(i) <- v;
+        maxs.(i) <- v
+      | _, lo ->
+        if lt v lo then mins.(i) <- v
+        else if lt maxs.(i) v then maxs.(i) <- v
+    done;
+    for k = 0 to Array.length hist_idx - 1 do
+      match t.(hist_idx.(k)) with
+      | Value.Null -> ()
+      | v -> Reservoir.add hist_res.(k) v
+    done;
+    for k = 0 to Array.length dist_idx - 1 do
+      match t.(dist_idx.(k)) with
+      | Value.Null -> ()
+      | v -> Distinct.add dist.(k) v
+    done
+  done;
   Sim_clock.charge_cpu_ms clock (estimated_cost_ms s ~rows:(float_of_int n));
   let dicts = ref [] in
   let histograms =
-    List.map
-      (fun (c, _, res) ->
+    List.mapi
+      (fun k c ->
+         let res = hist_res.(k) in
          let sample = Reservoir.sample res in
-         let seen = Reservoir.seen res in
-         let has_string =
-           Array.exists (fun v -> match v with Value.String _ -> true | _ -> false)
-             sample
-         in
-         let to_float =
-           if has_string then begin
-             let module SS = Set.Make (String) in
-             let set =
-               Array.fold_left
-                 (fun acc v ->
-                    match v with Value.String s -> SS.add s acc | _ -> acc)
-                 SS.empty sample
-             in
-             let dict = List.mapi (fun i s -> (s, float_of_int i)) (SS.elements set) in
+         let data =
+           match encode_strings sample with
+           | Some (dict, data) ->
              dicts := (c, dict) :: !dicts;
-             fun v ->
-               match v with
-               | Value.String s -> List.assoc s dict
-               | v -> Value.to_float v
-           end
-           else Value.to_float
+             data
+           | None -> Array.map Value.to_float sample
          in
-         let data = Array.map to_float sample in
          let h = Histogram.build s.hist_kind ~buckets:s.hist_buckets data in
-         (c, Histogram.scale h (float_of_int seen)))
-      hist_targets
+         (c, Histogram.scale h (float_of_int (Reservoir.seen res))))
+      s.hist_cols
   in
   let distincts =
-    List.map (fun (c, _, d) -> (c, Distinct.estimate d)) distinct_targets
+    List.mapi (fun k c -> (c, Distinct.estimate dist.(k))) s.distinct_cols
   in
   let col_ranges =
     List.filter_map

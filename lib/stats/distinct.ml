@@ -1,7 +1,7 @@
 module Value = Mqr_storage.Value
 
 (* 64-bit mix to decorrelate Value.hash outputs. *)
-let mix64 h =
+let[@inline] mix64 h =
   let open Int64 in
   let z = of_int h in
   let z = mul (logxor z (shift_right_logical z 33)) 0xFF51AFD7ED558CCDL in
@@ -20,23 +20,25 @@ module Fm = struct
     if maps < 1 then invalid_arg "Distinct.Fm.create";
     { maps; sketch = Array.make maps 0 }
 
-  let trailing_zeros x =
+  let[@inline] trailing_zeros x =
     if Int64.equal x 0L then 62
     else begin
-      let rec go i =
-        if Int64.equal (Int64.logand (Int64.shift_right_logical x i) 1L) 1L then i
-        else go (i + 1)
-      in
-      go 0
+      let i = ref 0 in
+      while Int64.equal (Int64.logand (Int64.shift_right_logical x !i) 1L) 0L do
+        incr i
+      done;
+      !i
     end
 
-  let add t v =
-    let h = mix64 (Value.hash v) in
+  (* [h] is the mixed 64-bit hash of the value. *)
+  let[@inline] add_mixed t h =
     let bucket = Int64.to_int (Int64.rem (Int64.logand h 0x7FFFFFFFFFFFFFFFL)
                                  (Int64.of_int t.maps)) in
     let rest = Int64.shift_right_logical h 8 in
     let r = trailing_zeros rest in
-    t.sketch.(bucket) <- t.sketch.(bucket) lor (1 lsl min r 61)
+    t.sketch.(bucket) <- t.sketch.(bucket) lor (1 lsl if r < 61 then r else 61)
+
+  let add t v = add_mixed t (mix64 (Value.hash v))
 
   (* Position of lowest zero bit. *)
   let lowest_zero bits =
@@ -49,26 +51,36 @@ module Fm = struct
     float_of_int t.maps /. phi *. (2.0 ** mean)
 end
 
+(* The exact set's keys are already-mixed hashes: hash them as themselves
+   rather than through the polymorphic [caml_hash]. *)
+module Int_set = Hashtbl.Make (struct
+    type t = int
+    let equal = Int.equal
+    let hash h = h
+  end)
+
 type t = {
   exact_limit : int;
-  exact : (int, unit) Hashtbl.t;
+  exact : unit Int_set.t;
   fm : Fm.t;
   mutable overflowed : bool;
 }
 
 let create ?(exact_limit = 4096) () =
   { exact_limit;
-    exact = Hashtbl.create 256;
+    exact = Int_set.create 256;
     fm = Fm.create ();
     overflowed = false }
 
+(* One Value.hash and one mix feed both estimators. *)
 let add t v =
-  Fm.add t.fm v;
+  let h = mix64 (Value.hash v) in
+  Fm.add_mixed t.fm h;
   if not t.overflowed then begin
-    let h = Int64.to_int (mix64 (Value.hash v)) in
-    if not (Hashtbl.mem t.exact h) then begin
-      Hashtbl.replace t.exact h ();
-      if Hashtbl.length t.exact > t.exact_limit then t.overflowed <- true
+    let k = Int64.to_int h in
+    if not (Int_set.mem t.exact k) then begin
+      Int_set.replace t.exact k ();
+      if Int_set.length t.exact > t.exact_limit then t.overflowed <- true
     end
   end
 
@@ -76,4 +88,4 @@ let is_exact t = not t.overflowed
 
 let estimate t =
   if t.overflowed then Fm.estimate t.fm
-  else float_of_int (Hashtbl.length t.exact)
+  else float_of_int (Int_set.length t.exact)

@@ -5,7 +5,11 @@
     unbounded streams, and an exact hash-based counter (the "bitmap
     approach") that is cheap when the number of distinct values is small —
     the statistics collector uses the exact counter up to a budget and
-    falls back to the sketch beyond it. *)
+    falls back to the sketch beyond it.
+
+    Each value is hashed once: [Value.hash], then a 64-bit mix.  The mixed
+    hash feeds both the sketch and the exact counter, which keeps the
+    mixed hashes (truncated to a native int) in an int-keyed table. *)
 
 module Fm : sig
   type t

@@ -32,36 +32,41 @@ let max_value t =
   let n = Array.length t.bkts in
   if n = 0 then None else Some t.bkts.(n - 1).hi
 
-(* Frequency table of a data array: sorted (value, count) pairs. *)
+(* Frequency table of a data array: the sorted distinct values and their
+   counts, as two parallel arrays (floats unboxed). *)
 let freq_table data =
   let sorted = Array.copy data in
-  Array.sort Float.compare sorted;
+  Heap_sort.sort_floats sorted;
   let n = Array.length sorted in
-  let out = ref [] in
-  let i = ref 0 in
+  let vals = Array.make n 0.0 and cnts = Array.make n 0 in
+  let k = ref 0 and i = ref 0 in
   while !i < n do
     let v = sorted.(!i) in
     let j = ref !i in
-    while !j < n && sorted.(!j) = v do incr j done;
-    out := (v, !j - !i) :: !out;
+    while !j < n && Float.equal sorted.(!j) v do incr j done;
+    vals.(!k) <- v;
+    cnts.(!k) <- !j - !i;
+    incr k;
     i := !j
   done;
-  Array.of_list (List.rev !out)
+  (Array.sub vals 0 !k, Array.sub cnts 0 !k)
 
 let of_buckets kind bkts =
   let total = Array.fold_left (fun acc b -> acc +. b.rows) 0.0 bkts in
   { kind; bkts; total }
 
-let build_equi_width ~buckets freqs =
-  let n = Array.length freqs in
+let sum_counts cnts =
+  Array.fold_left (fun a c -> a +. float_of_int c) 0.0 cnts
+
+let build_equi_width ~buckets (vals, cnts) =
+  let n = Array.length vals in
   if n = 0 then [||]
   else begin
-    let lo = fst freqs.(0) and hi = fst freqs.(n - 1) in
+    let lo = vals.(0) and hi = vals.(n - 1) in
     let nb = max 1 (min buckets n) in
     let width = (hi -. lo) /. float_of_int nb in
     if width <= 0.0 then
-      [| { lo; hi; rows = Array.fold_left (fun a (_, c) -> a +. float_of_int c) 0.0 freqs;
-           distinct = float_of_int n } |]
+      [| { lo; hi; rows = sum_counts cnts; distinct = float_of_int n } |]
     else begin
       let out = ref [] in
       let idx = ref 0 in
@@ -71,10 +76,10 @@ let build_equi_width ~buckets freqs =
         let v_lo = ref infinity and v_hi = ref neg_infinity in
         while
           !idx < n
-          && (fst freqs.(!idx) < b_hi || (b = nb - 1 && fst freqs.(!idx) <= hi))
+          && (vals.(!idx) < b_hi || (b = nb - 1 && vals.(!idx) <= hi))
         do
-          let v, c = freqs.(!idx) in
-          rows := !rows +. float_of_int c;
+          let v = vals.(!idx) in
+          rows := !rows +. float_of_int cnts.(!idx);
           d := !d +. 1.0;
           if v < !v_lo then v_lo := v;
           if v > !v_hi then v_hi := v;
@@ -87,65 +92,68 @@ let build_equi_width ~buckets freqs =
     end
   end
 
-let build_equi_depth ~buckets freqs =
-  let n = Array.length freqs in
+let build_equi_depth ~buckets (vals, cnts) =
+  let n = Array.length vals in
   if n = 0 then [||]
   else begin
-    let total = Array.fold_left (fun a (_, c) -> a +. float_of_int c) 0.0 freqs in
+    let total = sum_counts cnts in
     let nb = max 1 (min buckets n) in
     let target = total /. float_of_int nb in
     let out = ref [] in
     let cur_rows = ref 0.0 and cur_d = ref 0.0 in
-    let cur_lo = ref (fst freqs.(0)) in
+    let cur_lo = ref vals.(0) in
     let flush hi =
       if !cur_rows > 0.0 then
         out := { lo = !cur_lo; hi; rows = !cur_rows; distinct = !cur_d } :: !out;
       cur_rows := 0.0;
       cur_d := 0.0
     in
-    Array.iteri
-      (fun i (v, c) ->
-         if !cur_rows = 0.0 then cur_lo := v;
-         cur_rows := !cur_rows +. float_of_int c;
-         cur_d := !cur_d +. 1.0;
-         if !cur_rows >= target && i < n - 1 then flush v)
-      freqs;
-    flush (fst freqs.(n - 1));
+    for i = 0 to n - 1 do
+      let v = vals.(i) in
+      if !cur_rows = 0.0 then cur_lo := v;
+      cur_rows := !cur_rows +. float_of_int cnts.(i);
+      cur_d := !cur_d +. 1.0;
+      if !cur_rows >= target && i < n - 1 then flush v
+    done;
+    flush vals.(n - 1);
     Array.of_list (List.rev !out)
   end
 
 (* MaxDiff(V,A): boundaries at the largest differences between the "areas"
-   (frequency * spread) of adjacent distinct values. *)
-let build_maxdiff ~buckets freqs =
-  let n = Array.length freqs in
+   (frequency * spread) of adjacent distinct values.  Sorting indices by
+   difference breaks ties exactly as sorting (difference, index) pairs on
+   the difference does: the heap sort's comparisons are the same. *)
+let build_maxdiff ~buckets (vals, cnts) =
+  let n = Array.length vals in
   if n = 0 then [||]
   else if n = 1 then
-    let v, c = freqs.(0) in
-    [| { lo = v; hi = v; rows = float_of_int c; distinct = 1.0 } |]
+    [| { lo = vals.(0); hi = vals.(0); rows = float_of_int cnts.(0); distinct = 1.0 } |]
   else begin
-    let area i =
-      let v, c = freqs.(i) in
-      let spread = if i < n - 1 then fst freqs.(i + 1) -. v else 1.0 in
-      float_of_int c *. max spread 1e-9
-    in
-    let diffs =
-      Array.init (n - 1) (fun i -> (Float.abs (area (i + 1) -. area i), i))
-    in
-    Array.sort (fun (a, _) (b, _) -> Float.compare b a) diffs;
+    let area = Array.make n 0.0 in
+    for i = 0 to n - 1 do
+      let spread = if i < n - 1 then vals.(i + 1) -. vals.(i) else 1.0 in
+      area.(i) <- float_of_int cnts.(i) *. (if spread >= 1e-9 then spread else 1e-9)
+    done;
+    let diffs = Array.make (n - 1) 0.0 in
+    for i = 0 to n - 2 do
+      diffs.(i) <- Float.abs (area.(i + 1) -. area.(i))
+    done;
+    let ranked = Array.init (n - 1) Fun.id in
+    Array.sort (fun a b -> Float.compare diffs.(b) diffs.(a)) ranked;
     let nb = max 1 (min buckets n) in
-    let split_after = Hashtbl.create 16 in
-    Array.iteri
-      (fun rank (_, i) -> if rank < nb - 1 then Hashtbl.replace split_after i ())
-      diffs;
+    let split_after = Array.make n false in
+    for rank = 0 to min (nb - 1) (n - 1) - 1 do
+      split_after.(ranked.(rank)) <- true
+    done;
     let out = ref [] in
     let cur_rows = ref 0.0 and cur_d = ref 0.0 in
-    let cur_lo = ref (fst freqs.(0)) in
+    let cur_lo = ref vals.(0) in
     for i = 0 to n - 1 do
-      let v, c = freqs.(i) in
+      let v = vals.(i) in
       if !cur_rows = 0.0 then cur_lo := v;
-      cur_rows := !cur_rows +. float_of_int c;
+      cur_rows := !cur_rows +. float_of_int cnts.(i);
       cur_d := !cur_d +. 1.0;
-      if Hashtbl.mem split_after i || i = n - 1 then begin
+      if split_after.(i) || i = n - 1 then begin
         out := { lo = !cur_lo; hi = v; rows = !cur_rows; distinct = !cur_d } :: !out;
         cur_rows := 0.0;
         cur_d := 0.0
@@ -156,32 +164,32 @@ let build_maxdiff ~buckets freqs =
 
 (* Serial / end-biased: singleton buckets for the (buckets-1) most frequent
    values, one collective bucket (assumed uniform) for the rest. *)
-let build_serial ~buckets freqs =
-  let n = Array.length freqs in
+let build_serial ~buckets (vals, cnts) =
+  let n = Array.length vals in
   if n = 0 then [||]
   else begin
     let nb = max 2 buckets in
-    let by_freq = Array.copy freqs in
-    Array.sort (fun (_, c1) (_, c2) -> Int.compare c2 c1) by_freq;
+    let by_freq = Array.init n Fun.id in
+    Array.sort (fun a b -> Int.compare cnts.(b) cnts.(a)) by_freq;
     let top_count = min (nb - 1) n in
-    let top = Hashtbl.create top_count in
+    let top = Array.make n false in
     for i = 0 to top_count - 1 do
-      Hashtbl.replace top (fst by_freq.(i)) ()
+      top.(by_freq.(i)) <- true
     done;
     let singles = ref [] in
     let rest_rows = ref 0.0 and rest_d = ref 0.0 in
     let rest_lo = ref infinity and rest_hi = ref neg_infinity in
-    Array.iter
-      (fun (v, c) ->
-         if Hashtbl.mem top v then
-           singles := { lo = v; hi = v; rows = float_of_int c; distinct = 1.0 } :: !singles
-         else begin
-           rest_rows := !rest_rows +. float_of_int c;
-           rest_d := !rest_d +. 1.0;
-           if v < !rest_lo then rest_lo := v;
-           if v > !rest_hi then rest_hi := v
-         end)
-      freqs;
+    for i = 0 to n - 1 do
+      let v = vals.(i) and c = cnts.(i) in
+      if top.(i) then
+        singles := { lo = v; hi = v; rows = float_of_int c; distinct = 1.0 } :: !singles
+      else begin
+        rest_rows := !rest_rows +. float_of_int c;
+        rest_d := !rest_d +. 1.0;
+        if v < !rest_lo then rest_lo := v;
+        if v > !rest_hi then rest_hi := v
+      end
+    done;
     let bkts =
       if !rest_rows > 0.0 then
         { lo = !rest_lo; hi = !rest_hi; rows = !rest_rows; distinct = !rest_d }
@@ -197,35 +205,33 @@ let build_serial ~buckets freqs =
    bucket variance of the frequencies, by the classic O(n^2 b) dynamic
    program.  Large domains are pre-reduced to at most [max_cells] cells so
    the DP stays cheap; this approximation is standard practice. *)
-let build_voptimal ~buckets freqs =
+let build_voptimal ~buckets (vals, cnts) =
   let max_cells = 256 in
-  let cells =
-    let n = Array.length freqs in
-    if n <= max_cells then freqs
+  let cell_vals, cell_cnts =
+    let n = Array.length vals in
+    if n <= max_cells then (vals, cnts)
     else begin
       (* coalesce adjacent values into ~max_cells equal-width cells *)
-      let lo = fst freqs.(0) and hi = fst freqs.(n - 1) in
+      let lo = vals.(0) and hi = vals.(n - 1) in
       let w = (hi -. lo) /. float_of_int max_cells in
-      let cells = Array.make max_cells (0.0, 0) in
       let counts = Array.make max_cells 0 in
-      Array.iter
-        (fun (v, c) ->
-           let i = min (max_cells - 1) (int_of_float ((v -. lo) /. max w 1e-9)) in
-           counts.(i) <- counts.(i) + c)
-        freqs;
-      Array.iteri (fun i c -> cells.(i) <- (lo +. (w *. float_of_int i), c)) counts;
-      Array.of_list
-        (List.filter (fun (_, c) -> c > 0) (Array.to_list cells))
+      for k = 0 to n - 1 do
+        let i = min (max_cells - 1) (int_of_float ((vals.(k) -. lo) /. max w 1e-9)) in
+        counts.(i) <- counts.(i) + cnts.(k)
+      done;
+      let kept = List.filter (fun i -> counts.(i) > 0) (List.init max_cells Fun.id) in
+      ( Array.of_list (List.map (fun i -> lo +. (w *. float_of_int i)) kept),
+        Array.of_list (List.map (fun i -> counts.(i)) kept) )
     end
   in
-  let n = Array.length cells in
+  let n = Array.length cell_vals in
   if n = 0 then [||]
   else begin
     let b = max 1 (min buckets n) in
     (* prefix sums for O(1) variance of any cell range *)
     let pre = Array.make (n + 1) 0.0 and pre2 = Array.make (n + 1) 0.0 in
     for i = 0 to n - 1 do
-      let c = float_of_int (snd cells.(i)) in
+      let c = float_of_int cell_cnts.(i) in
       pre.(i + 1) <- pre.(i) +. c;
       pre2.(i + 1) <- pre2.(i) +. (c *. c)
     done;
@@ -250,7 +256,7 @@ let build_voptimal ~buckets freqs =
         done
       done
     done;
-    (* walk the cuts back into bucket boundaries over [cells] *)
+    (* walk the cuts back into bucket boundaries over the cells *)
     let rec boundaries j k acc =
       if k = 0 then acc else boundaries cut.(j).(k) (k - 1) (cut.(j).(k) :: acc)
     in
@@ -265,28 +271,23 @@ let build_voptimal ~buckets freqs =
     in
     (* convert cell ranges back to buckets over the original values *)
     let bucket_of (i, j) =
-      let lo_v = fst cells.(i) and hi_v = fst cells.(j) in
-      (* collect original frequencies within [lo_v, hi_of_cell j] *)
-      let hi_bound =
-        if j + 1 < n then fst cells.(j + 1) else infinity
-      in
+      let lo_v = cell_vals.(i) in
+      (* collect original frequencies within [lo_v, start of cell j+1) *)
+      let hi_bound = if j + 1 < n then cell_vals.(j + 1) else infinity in
       let rows = ref 0.0 and d = ref 0.0 in
       let real_lo = ref infinity and real_hi = ref neg_infinity in
-      Array.iter
-        (fun (v, c) ->
-           if v >= lo_v && v < hi_bound then begin
-             rows := !rows +. float_of_int c;
-             d := !d +. 1.0;
-             if v < !real_lo then real_lo := v;
-             if v > !real_hi then real_hi := v
-           end)
-        freqs;
+      for k = 0 to Array.length vals - 1 do
+        let v = vals.(k) in
+        if v >= lo_v && v < hi_bound then begin
+          rows := !rows +. float_of_int cnts.(k);
+          d := !d +. 1.0;
+          if v < !real_lo then real_lo := v;
+          if v > !real_hi then real_hi := v
+        end
+      done;
       if !rows > 0.0 then
         Some { lo = !real_lo; hi = !real_hi; rows = !rows; distinct = !d }
-      else begin
-        ignore hi_v;
-        None
-      end
+      else None
     in
     Array.of_list (List.filter_map bucket_of ranges)
   end

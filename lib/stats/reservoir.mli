@@ -3,7 +3,13 @@
     The statistics-collector operator feeds every tuple of an intermediate
     result through a reservoir; when the stream ends, the reservoir is a
     uniform sample from which a histogram is built — exactly the technique
-    the paper takes from Vitter [24] / Poosala-Ioannidis [19]. *)
+    the paper takes from Vitter [24] / Poosala-Ioannidis [19].
+
+    Every offer past the first [capacity] draws one [Rng.int] (Algorithm
+    R, not Vitter's skip-based variants), so the draw sequence, and with
+    it the sample, depends only on the seed and the stream.  The
+    generator keeps its state unboxed, so an offer allocates nothing; the
+    sample array grows by doubling up to [capacity] and no further. *)
 
 type 'a t
 

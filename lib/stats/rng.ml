@@ -1,12 +1,19 @@
-type t = { mutable state : int64 }
+(* The 64-bit state lives unboxed in 8 bytes: a [mutable int64] record
+   field would box a fresh int64 on every draw. *)
+type t = Bytes.t
 
-let create seed = { state = Int64.of_int seed }
+let of_state s =
+  let t = Bytes.create 8 in
+  Bytes.set_int64_ne t 0 s;
+  t
 
-let next_int64 t =
+let create seed = of_state (Int64.of_int seed)
+
+let[@inline] next_int64 t =
   let open Int64 in
-  t.state <- add t.state 0x9E3779B97F4A7C15L;
-  let z = t.state in
-  let z = mul (logxor z (shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
+  let s = add (Bytes.get_int64_ne t 0) 0x9E3779B97F4A7C15L in
+  Bytes.set_int64_ne t 0 s;
+  let z = mul (logxor s (shift_right_logical s 30)) 0xBF58476D1CE4E5B9L in
   let z = mul (logxor z (shift_right_logical z 27)) 0x94D049BB133111EBL in
   logxor z (shift_right_logical z 31)
 
@@ -20,7 +27,7 @@ let float t =
   let v = Int64.to_float (Int64.shift_right_logical (next_int64 t) 11) in
   v /. 9007199254740992.0 (* 2^53 *)
 
-let split t = { state = next_int64 t }
+let split t = of_state (next_int64 t)
 
 let shuffle t a =
   for i = Array.length a - 1 downto 1 do

@@ -1,7 +1,8 @@
 (** Deterministic splitmix64 random-number generator.
 
     Every randomized component (data generation, reservoir sampling, FM
-    sketches) takes an explicit [Rng.t] so runs are reproducible. *)
+    sketches) takes an explicit [Rng.t] so runs are reproducible.  The
+    64-bit state is kept unboxed, so {!int} allocates nothing. *)
 
 type t
 

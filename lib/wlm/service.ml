@@ -238,6 +238,11 @@ let can_admit_stmt t (s : Session.stmt) =
          | Round_robin -> Broker.can_admit t.broker
          | Slo_aware -> Broker.can_admit_tenant t.broker s.Session.stmt_tenant)
 
+(* A failed statement's error text: the engine's own message where it
+   has one, the exception otherwise. *)
+let error_text e =
+  Option.value (Engine.error_message e) ~default:(Printexc.to_string e)
+
 (* Start a statement: bind, open its trace lane on the shared timeline,
    and hand it to the dispatcher under the tenant-tagged broker hook.
    Any exception (parse error, verifier rejection) marks the statement
@@ -291,7 +296,7 @@ let start_stmt t (s : Session.stmt) ~now =
     t.running <- t.running @ [ s ]
   | exception e ->
     Broker.release t.broker ~id;
-    s.Session.stmt_status <- Session.Failed (Printexc.to_string e);
+    s.Session.stmt_status <- Session.Failed (error_text e);
     tn.tn_failed <- tn.tn_failed + 1;
     refresh_activity t tenant;
     (match scope with
@@ -536,9 +541,9 @@ let step t =
         | exception (Verifier.Rejected _ as e) ->
           (* sanitizer findings are bugs: tear the statement down (the
              dispatcher already did) but let the rejection propagate *)
-          fail_stmt t s (Printexc.to_string e);
+          fail_stmt t s (error_text e);
           raise e
-        | exception e -> fail_stmt t s (Printexc.to_string e)));
+        | exception e -> fail_stmt t s (error_text e)));
     true
 
 let rec drain t = if step t then drain t else ()

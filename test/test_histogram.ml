@@ -206,8 +206,21 @@ let test_voptimal_large_domain () =
   Alcotest.(check bool) (Printf.sprintf "half range %.3f" s) true
     (Float.abs (s -. 0.5) < 0.1)
 
+(* NaNs group into one frequency-table entry (Float.equal), so a sample
+   holding them still builds, under every kind, rather than looping on
+   the first NaN. *)
+let test_nan_sample_builds () =
+  let data = Array.init 600 (fun i -> if i mod 7 = 0 then nan else float_of_int i) in
+  List.iter
+    (fun k ->
+       let h = H.build k ~buckets:8 data in
+       Alcotest.(check bool) (H.kind_to_string k ^ " built") true
+         (List.length (H.buckets h) <= 600))
+    H.[ Equi_width; Equi_depth; Maxdiff; Serial; V_optimal ]
+
 let suite =
   [ Alcotest.test_case "empty" `Quick test_empty;
+    Alcotest.test_case "nan sample builds" `Quick test_nan_sample_builds;
     Alcotest.test_case "total rows" `Quick test_total_rows;
     Alcotest.test_case "distinct count" `Quick test_distinct_count;
     Alcotest.test_case "full range = 1" `Quick test_full_range_is_one;

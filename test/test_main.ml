@@ -4,6 +4,7 @@ let () =
       ("schema", Test_schema.suite);
       ("stats", Test_stats.suite);
       ("histogram", Test_histogram.suite);
+      ("collector", Test_collector.suite);
       ("storage", Test_storage.suite);
       ("catalog", Test_catalog.suite);
       ("expr", Test_expr.suite);

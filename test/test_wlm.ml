@@ -237,6 +237,20 @@ let test_feedback_applies_stats () =
   Alcotest.(check bool) "second run applied cached stats" true
     (r.Wl.stats_applied > 0)
 
+let test_failure_reads_as_engine_message () =
+  let r =
+    Wl.run ~options:serial_options (engine ())
+      [ Wl.spec ~label:"Q6" (Queries.find "Q6").Queries.sql;
+        Wl.spec ~label:"bad" "select nonsense from nowhere";
+        Wl.spec ~label:"typo" "selec 1" ]
+  in
+  Alcotest.(check int) "Q6 completed" 1 (List.length r.Wl.results);
+  Alcotest.(check (list (triple int string string)))
+    "bind and parse errors carry their message, not the exception"
+    [ (1, "bad", "unknown table nowhere");
+      (2, "typo", "expected select (at token selec)") ]
+    r.Wl.failed
+
 (* --- batch timelines ----------------------------------------------------- *)
 
 (* Every batch below, query by query: label, admission and finish times
@@ -336,5 +350,7 @@ let suite =
       test_rejection_when_queue_full;
     Alcotest.test_case "feedback applies stats" `Quick
       test_feedback_applies_stats;
+    Alcotest.test_case "failure reads as engine message" `Quick
+      test_failure_reads_as_engine_message;
     Alcotest.test_case "batch timelines golden" `Quick
       test_batch_timelines_golden ]
