@@ -57,9 +57,12 @@ let time_r ~scenario engine mode (q : Queries.query) =
   r
 
 (* BENCH_results.json holds one point per line, as [point_line] writes
-   it.  A run rewrites only the points whose (scenario, mode) it recorded:
-   those are replaced in place, new ones are appended, and every other
-   scenario's points are kept as they were. *)
+   it.  A run rewrites only the scenarios it ran (the part of a point's
+   scenario before the first '/', e.g. "bounds" for "bounds/Q3"): all of
+   a scenario's old points are replaced, as a group, by the ones this run
+   recorded, at the old group's first position, so a mode or query dropped
+   from a scenario leaves no stale points.  A scenario new to the file is
+   appended; every other scenario's points are kept as they were. *)
 let point_line (scenario, mode, ms, sw, col) =
   Printf.sprintf
     "  {\"scenario\": %S, \"mode\": %S, \"elapsed_ms\": %.3f, \
@@ -79,13 +82,27 @@ let emit_json () =
   | [] -> Fmt.pr "@.no data points recorded; BENCH_results.json left as is@."
   | points ->
     let path = "BENCH_results.json" in
-    let key (s, m, _, _, _) = (s, m) in
-    let fresh = Hashtbl.create 64 in
-    List.iter (fun p -> Hashtbl.replace fresh (key p) p) (List.rev points);
-    let take p =
-      let q = Hashtbl.find_opt fresh (key p) in
-      Hashtbl.remove fresh (key p);
-      q
+    let group (s, _, _, _, _) = List.hd (String.split_on_char '/' s) in
+    (* [points] is newest first: keep the latest point per (scenario,
+       mode), in recording order *)
+    let fresh =
+      List.fold_left
+        (fun acc ((s, m, _, _, _) as p) ->
+           if List.exists (fun (s', m', _, _, _) -> s = s' && m = m') acc
+           then acc
+           else p :: acc)
+        [] points
+    in
+    let ran = List.map group fresh in
+    let placed = Hashtbl.create 8 in
+    let place p =
+      let g = group p in
+      if not (List.mem g ran) then [ p ]
+      else if Hashtbl.mem placed g then []
+      else begin
+        Hashtbl.add placed g ();
+        List.filter (fun q -> group q = g) fresh
+      end
     in
     let old =
       if Sys.file_exists path then
@@ -94,8 +111,10 @@ let emit_json () =
         |> List.filter_map parse_point
       else []
     in
-    let replaced = List.map (fun p -> Option.value ~default:p (take p)) old in
-    let merged = replaced @ List.filter_map take (List.rev points) in
+    let kept = List.concat_map place old in
+    let merged =
+      kept @ List.filter (fun p -> not (Hashtbl.mem placed (group p))) fresh
+    in
     Out_channel.with_open_bin path (fun oc ->
         output_string oc
           ("[\n" ^ String.concat ",\n" (List.map point_line merged) ^ "\n]\n"));
@@ -237,11 +256,11 @@ let xfig3 () =
   Fmt.pr "normal:       %10.1f ms@." off.Dispatcher.elapsed_ms;
   Fmt.pr "memory-only:  %10.1f ms@." mem.Dispatcher.elapsed_ms;
   List.iter
-    (fun ev ->
+    (fun (_, ev) ->
        match ev with
        | Dispatcher.Ev_realloc _ -> Fmt.pr "  %a@." Dispatcher.pp_event ev
        | _ -> ())
-    mem.Dispatcher.events
+    mem.Dispatcher.timed_events
 
 (* ------------------------------------------------------------------ *)
 (* Extension X-sens: sensitivity to mu and theta2 (thesis [12]).       *)
@@ -592,33 +611,24 @@ let sanitize () =
   else Fmt.pr "@.** %d sanitizer mismatches **@." !mismatches
 
 (* ------------------------------------------------------------------ *)
-(* Bound-checked re-optimization: estimate-based plan switching versus
-   switching gated on provable cost intervals.  Bound-checked mode only
-   admits a candidate whose worst-case remaining cost (upper bound of the
-   cardinality-bound analysis) beats the current plan's best-case
-   remaining cost, so a switch can never lose to estimation error: any
-   regression an estimate-based mode shows against memory-only must
-   disappear (Q5), while a switch whose margin is provable survives
-   (Q7).  The inverse price also shows: a genuinely winning switch whose
-   margin is *not* provable is forgone, and the replan-and-check
-   overhead at vetoed decision points is still paid (Q8 lands behind
-   memory-only).  The whole scenario runs under the sanitizer, so every
-   observed cardinality is also cross-checked against its provable
-   interval (BND-OBSERVED is a hard error).                            *)
+(* Cardinality bounds under every reopt mode: the Figure 11 sweep run
+   under the sanitizer, so every cardinality the executor observes is
+   cross-checked against its provable interval (BND-OBSERVED is a hard
+   error), and every mode must return the same rows as the baseline.   *)
 
 let bounds_scenario () =
   header
     (Fmt.str
-       "Bound-checked switching - estimate-based vs guaranteed-win plan \
-        switches (sf=%g, budget=%d pages)"
+       "Cardinality bounds - every reopt mode under the sanitizer (sf=%g, \
+        budget=%d pages)"
        sf budget_pages);
   let catalog = Workload.experiment_catalog ~sf () in
   let engine =
     Engine.create ~budget_pages ~pool_pages
       ~verify_plans:Mqr_analysis.Verifier.Sanitize catalog
   in
-  Fmt.pr "%-5s %-8s | %10s %12s %12s %12s %13s  %s@." "query" "class" "normal"
-    "mem-only" "plan-only" "full" "bound-checked" "identical";
+  Fmt.pr "%-5s %-8s | %10s %12s %12s %12s  %s@." "query" "class" "normal"
+    "mem-only" "plan-only" "full" "identical";
   let interesting =
     List.filter
       (fun (q : Queries.query) -> q.Queries.klass <> Queries.Simple)
@@ -633,10 +643,9 @@ let bounds_scenario () =
        let mem = run Dispatcher.Memory_only in
        let plan = run Dispatcher.Plan_only in
        let full = run Dispatcher.Full in
-       let bc = run Dispatcher.Bound_checked in
-       (* a vetoed or admitted switch must never change the answer; a
-          switch re-orders float aggregation, so compare rendered rows
-          (%.4f) as multisets rather than raw bit patterns *)
+       (* a plan switch must never change the answer; it re-orders float
+          aggregation, so compare rendered rows (%.4f) as multisets rather
+          than raw bit patterns *)
        let canon (r : Dispatcher.report) =
          List.sort compare
            (Array.to_list
@@ -644,28 +653,22 @@ let bounds_scenario () =
                  r.Dispatcher.rows))
        in
        let identical =
-         canon bc = canon normal
-         && canon full = canon normal
+         canon full = canon normal
          && canon plan = canon normal
          && canon mem = canon normal
        in
        if not identical then incr mismatches;
-       Fmt.pr "%-5s %-8s | %10.1f %12.1f %12.1f %12.1f %13.1f  %s@."
+       Fmt.pr "%-5s %-8s | %10.1f %12.1f %12.1f %12.1f  %s@."
          q.Queries.name
          (Queries.klass_to_string q.Queries.klass)
          normal.Dispatcher.elapsed_ms mem.Dispatcher.elapsed_ms
          plan.Dispatcher.elapsed_ms full.Dispatcher.elapsed_ms
-         bc.Dispatcher.elapsed_ms
          (if identical then "yes" else "** MISMATCH **"))
     interesting;
   if !mismatches = 0 then
     Fmt.pr
-      "@.Bound-checked switching admits only switches that are provable \
-       wins under the cost@.model: estimate-based regressions against \
-       memory-only disappear, unprovable wins@.are forgone (and their \
-       replanning overhead still paid), every mode returns the@.same \
-       rows, and the sanitizer observed zero out-of-interval \
-       cardinalities.@."
+      "@.Every mode returns the same rows, and the sanitizer observed zero \
+       out-of-interval@.cardinalities.@."
   else Fmt.pr "@.** %d result mismatches **@." !mismatches
 
 (* ------------------------------------------------------------------ *)
@@ -808,8 +811,8 @@ let parallel_scenario () =
             let par_ops =
               List.length
                 (List.filter
-                   (function Dispatcher.Ev_parallel _ -> true | _ -> false)
-                   r.Dispatcher.events)
+                   (function _, Dispatcher.Ev_parallel _ -> true | _ -> false)
+                   r.Dispatcher.timed_events)
             in
             Fmt.pr "%-5s | %4d | %12.1f %12.1f %12.1f %9d %10d  %s@." name
               pool_size r.Dispatcher.elapsed_ms wall_min wall_med par_ops
@@ -1063,7 +1066,7 @@ let progress_scenario () =
        sf budget_pages);
   let modes =
     [ Dispatcher.Off; Dispatcher.Memory_only; Dispatcher.Plan_only;
-      Dispatcher.Full; Dispatcher.Bound_checked ]
+      Dispatcher.Full ]
   in
   Fmt.pr "%-5s %-14s | %10s %12s %8s %7s %7s %9s  %s@." "query" "mode"
     "actual(ms)" "eta@start" "err%" "updates" "cover%" "monotone" "identical";

@@ -1,7 +1,7 @@
 (* Bounds gate smoke: Q3, Q5 and Q7 run under the sanitizer (every
    observed cardinality cross-checked against its provable interval;
-   BND-OBSERVED is a hard error) in Off and Bound_checked modes, and the
-   bound-checked rows must be byte-identical to the baseline.  Exits
+   BND-OBSERVED is a hard error) in Off and Full modes, and the
+   re-optimized rows must be byte-identical to the baseline.  Exits
    non-zero on any mismatch — wired into `dune build @bounds`. *)
 
 module Engine = Mqr_core.Engine
@@ -21,13 +21,11 @@ let () =
     (fun name ->
        let q = Queries.find name in
        let off = Engine.run_sql engine ~mode:Dispatcher.Off q.Queries.sql in
-       let bc =
-         Engine.run_sql engine ~mode:Dispatcher.Bound_checked q.Queries.sql
-       in
-       let identical = bc.Dispatcher.rows = off.Dispatcher.rows in
-       Fmt.pr "%s [bound-checked]: %d rows in %.1f ms (%d switches) %s@." name
-         (Array.length bc.Dispatcher.rows)
-         bc.Dispatcher.elapsed_ms bc.Dispatcher.switches
+       let full = Engine.run_sql engine ~mode:Dispatcher.Full q.Queries.sql in
+       let identical = full.Dispatcher.rows = off.Dispatcher.rows in
+       Fmt.pr "%s [full]: %d rows in %.1f ms (%d switches) %s@." name
+         (Array.length full.Dispatcher.rows)
+         full.Dispatcher.elapsed_ms full.Dispatcher.switches
          (if identical then "= baseline" else "!!! RESULT MISMATCH");
        if not identical then failed := true)
     [ "Q3"; "Q5"; "Q7" ];

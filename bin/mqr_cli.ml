@@ -30,16 +30,15 @@ let budget_arg =
   let doc = "Memory-manager budget in 4 KB pages." in
   Arg.(value & opt int 128 & info [ "budget" ] ~docv:"PAGES" ~doc)
 
+(* the --mode enum and the REPL's \mode command both read this table *)
+let modes =
+  [ ("off", Dispatcher.Off); ("memory", Dispatcher.Memory_only);
+    ("plan", Dispatcher.Plan_only); ("full", Dispatcher.Full) ]
+
+let mode_names = String.concat "|" (List.map fst modes)
+
 let mode_arg =
-  let modes =
-    [ ("off", Dispatcher.Off); ("memory", Dispatcher.Memory_only);
-      ("plan", Dispatcher.Plan_only); ("full", Dispatcher.Full);
-      ("bound-checked", Dispatcher.Bound_checked) ]
-  in
-  let doc = "Re-optimization mode: off, memory, plan, full, or \
-             bound-checked (full, but a switch must provably win: the \
-             candidate's worst-case cost bound must beat the current \
-             plan's best-case bound)." in
+  let doc = "Re-optimization mode: off, memory, plan or full." in
   Arg.(value & opt (enum modes) Dispatcher.Full & info [ "mode" ] ~doc)
 
 let verbose_arg =
@@ -163,8 +162,8 @@ let run_cmd =
       report.Dispatcher.switches;
     if verbose then begin
       List.iter
-        (fun ev -> Fmt.pr "  %a@." Dispatcher.pp_event ev)
-        report.Dispatcher.events;
+        (fun (_, ev) -> Fmt.pr "  %a@." Dispatcher.pp_event ev)
+        report.Dispatcher.timed_events;
       Fmt.pr "@.initial plan:@.%s@."
         (Mqr_opt.Plan.to_string report.Dispatcher.initial_plan)
     end;
@@ -312,7 +311,8 @@ let repl_cmd =
     let mode = ref Dispatcher.Full in
     Fmt.pr "mqr repl over a generated TPC-D catalog (sf=%g).@." sf;
     Fmt.pr
-      "Commands: SQL statements, \\explain <sql>, \\analyze <table>, \\mode off|memory|plan|full|bound-checked, \\tables, \\q@.";
+      "Commands: SQL statements, \\explain <sql>, \\analyze <table>, \\mode %s, \\tables, \\q@."
+      mode_names;
     let rec loop () =
       Fmt.pr "mqr> %!";
       match In_channel.input_line stdin with
@@ -336,13 +336,10 @@ let repl_cmd =
                        b.Mqr_catalog.Catalog.name)
                   (Mqr_catalog.Catalog.tables (Engine.catalog engine)))
            else if String.length line > 6 && String.sub line 0 6 = "\\mode " then begin
-             match String.sub line 6 (String.length line - 6) with
-             | "off" -> mode := Dispatcher.Off
-             | "memory" -> mode := Dispatcher.Memory_only
-             | "plan" -> mode := Dispatcher.Plan_only
-             | "full" -> mode := Dispatcher.Full
-             | "bound-checked" -> mode := Dispatcher.Bound_checked
-             | m -> Fmt.pr "unknown mode %s@." m
+             let m = String.sub line 6 (String.length line - 6) in
+             match List.assoc_opt m modes with
+             | Some md -> mode := md
+             | None -> Fmt.pr "unknown mode %s (valid: %s)@." m mode_names
            end
            else if String.length line > 9 && String.sub line 0 9 = "\\explain " then
              Fmt.pr "%s@."

@@ -31,6 +31,6 @@ let () =
        in
        if not same then Fmt.pr "  !!! RESULT MISMATCH@.";
        List.iter
-         (fun ev -> Fmt.pr "    %a@." Dispatcher.pp_event ev)
-         full.Dispatcher.events)
+         (fun (_, ev) -> Fmt.pr "    %a@." Dispatcher.pp_event ev)
+         full.Dispatcher.timed_events)
     Queries.all

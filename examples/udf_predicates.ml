@@ -72,7 +72,7 @@ let () =
   Fmt.pr "dynamic re-optimization: %10.1f simulated ms (%d collectors, %d switches)@.@."
     reopt.Dispatcher.elapsed_ms reopt.Dispatcher.collectors
     reopt.Dispatcher.switches;
-  List.iter (fun ev -> Fmt.pr "  %a@." Dispatcher.pp_event ev) reopt.Dispatcher.events;
+  List.iter (fun (_, ev) -> Fmt.pr "  %a@." Dispatcher.pp_event ev) reopt.Dispatcher.timed_events;
   (* the point of this example: the optimizer cannot estimate the
      user-defined predicate, and EXPLAIN ANALYZE shows how far off it was
      and that the collectors measured the truth at run time *)

@@ -64,8 +64,8 @@ val pages : t -> int -> interval option
     minimum memory grant (worst-case spilling) and adds parallel
     startup/exchange overhead when [max_dop > 1]; the lower bound assumes
     an uncontended grant and perfectly even [max_dop]-way partitioning.
-    Used by the bound-checked re-optimization mode: switch only when the
-    candidate's upper bound beats the current plan's lower bound. *)
+    Progress reporting uses it to bound a running statement's remaining
+    time (its ETA interval). *)
 val cost_interval :
   env -> model:Mqr_storage.Sim_clock.model -> ?max_dop:int ->
   Mqr_opt.Plan.t -> interval

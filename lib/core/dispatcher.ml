@@ -30,14 +30,13 @@ let log_src = Logs.Src.create "mqr.dispatcher" ~doc:"Mid-query re-optimization"
 
 module Log = (val Logs.src_log log_src : Logs.LOG)
 
-type mode = Off | Memory_only | Plan_only | Full | Bound_checked
+type mode = Off | Memory_only | Plan_only | Full
 
 let mode_to_string = function
   | Off -> "off"
   | Memory_only -> "memory-only"
   | Plan_only -> "plan-only"
   | Full -> "full"
-  | Bound_checked -> "bound-checked"
 
 type config = {
   catalog : Catalog.t;
@@ -101,11 +100,6 @@ type event =
       materialize_ms : float;
     }
   | Ev_rejected of { t_new_total : float; t_improved : float }
-  | Ev_bound_check of {
-      new_hi_ms : float;  (* candidate's provable worst-case remaining cost *)
-      cur_lo_ms : float;  (* current plan's provable best-case remaining cost *)
-      admitted : bool;    (* worst case provably beats best case? *)
-    }
   | Ev_sampled of Sampling.probe
   | Ev_parallel of {
       op : string;           (* operator run with an exchange *)
@@ -130,10 +124,8 @@ type report = {
   result_schema : Schema.t;
   elapsed_ms : float;
   counters : Sim_clock.counters;
-  events : event list;
   timed_events : (float * event) list;
-      (* every event with the Sim_clock time at which it was emitted —
-         [events] is the same list unstamped, kept for compatibility *)
+      (* every event with the Sim_clock time at which it was emitted *)
   switches : int;
   collectors : int;
   initial_plan : Plan.t;
@@ -300,15 +292,6 @@ let trace_event st scope ~ts ev =
   | Ev_rejected { t_new_total; t_improved } ->
     Metrics.incr m "plan.rejected";
     ledger_entry st scope ~ts (Trace.Rejected { t_new_total; t_improved })
-  | Ev_bound_check { new_hi_ms; cur_lo_ms; admitted } ->
-    Metrics.incr m
-      (if admitted then "bounds.admitted" else "bounds.vetoed");
-    Trace.instant scope ~cat:"bounds" ~name:"bound_check"
-      ~args:
-        [ ("new_hi_ms", Trace.Float new_hi_ms);
-          ("cur_lo_ms", Trace.Float cur_lo_ms);
-          ("admitted", Trace.Str (if admitted then "true" else "false")) ]
-      ~ts_ms:ts ()
   | Ev_sampled p ->
     Metrics.incr m "sampling.probes";
     Trace.instant scope ~cat:"sampling" ~name:("probe:" ^ p.Sampling.alias)
@@ -1202,39 +1185,7 @@ let try_replan ?(force = false) st =
        let materialize_ms = pending_materialize_ms st st.current in
        (* reading the temp back is already in the new plan's scan costs *)
        let t_new_total = new_plan.Plan.est.Plan.total_ms +. materialize_ms in
-       (* Bound-checked mode: on top of the estimate-based test, the
-          candidate's provable worst-case remaining cost (collection
-          overhead and the pending materialization included) must beat the
-          current plan's provable best-case remaining cost — a switch is
-          admitted only when it provably cannot lose. *)
-       let bound_admitted =
-         match st.cfg.mode with
-         | Bound_checked ->
-           let benv = bounds_env st in
-           let max_dop = st.cfg.opt_options.Optimizer.max_dop in
-           let cand =
-             Bounds.cost_interval benv ~model:st.cfg.model ~max_dop new_plan
-           in
-           let cur =
-             Bounds.cost_interval benv ~model:st.cfg.model ~max_dop st.current
-           in
-           let new_hi_ms =
-             (cand.Bounds.hi *. (1.0 +. st.cfg.params.Reopt_policy.mu))
-             +. materialize_ms
-           in
-           let admitted =
-             Reopt_policy.accept_bound_checked ~new_hi_ms
-               ~cur_lo_ms:cur.Bounds.lo
-           in
-           emit st
-             (Ev_bound_check
-                { new_hi_ms; cur_lo_ms = cur.Bounds.lo; admitted });
-           admitted
-         | Off | Memory_only | Plan_only | Full -> true
-       in
-       if Reopt_policy.accept_new_plan ~t_new_total ~t_improved
-       && bound_admitted
-       then begin
+       if Reopt_policy.accept_new_plan ~t_new_total ~t_improved then begin
          (* Switch: pay the writes, renumber the new plan's ids into our
             space, adopt its annotations as the new baseline. *)
          ignore (charge_materialization st st.current);
@@ -1296,12 +1247,9 @@ let decision_point st =
      if Plan.join_count st.current >= 1
      && st.switches < st.cfg.params.Reopt_policy.max_switches
      then try_replan ~force st
-   | Full | Bound_checked ->
+   | Full ->
      (* Re-allocation is free, so apply it first; a plan switch must then
-        beat the re-allocated current plan, not the starved one.
-        Bound-checked behaves like Full except that try_replan additionally
-        requires the candidate's provable worst case to beat the current
-        plan's provable best case. *)
+        beat the re-allocated current plan, not the starved one. *)
      reallocate st;
      if Plan.join_count st.current >= 1
      && st.switches < st.cfg.params.Reopt_policy.max_switches
@@ -1580,7 +1528,6 @@ let step_once r =
            result_schema;
            elapsed_ms = elapsed;
            counters = Sim_clock.counters st.ctx.Exec_ctx.clock;
-           events = List.rev_map snd st.events;
            timed_events = List.rev st.events;
            switches = st.switches;
            collectors = r.r_collectors;
@@ -1709,11 +1656,6 @@ let pp_event fmt = function
   | Ev_rejected { t_new_total; t_improved } ->
     Fmt.pf fmt "new plan rejected: T_new=%.1fms >= T_improved=%.1fms"
       t_new_total t_improved
-  | Ev_bound_check { new_hi_ms; cur_lo_ms; admitted } ->
-    Fmt.pf fmt "bound check: new_hi=%.1fms %s cur_lo=%.1fms (%s)" new_hi_ms
-      (if admitted then "<" else ">=")
-      cur_lo_ms
-      (if admitted then "admitted" else "vetoed")
   | Ev_sampled probe -> Sampling.pp_probe fmt probe
   | Ev_parallel { op; dop; want_pages; got_pages; max_worker_ms; avg_worker_ms }
     ->

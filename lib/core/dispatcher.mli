@@ -24,14 +24,7 @@ type mode =
   | Off           (** baseline: no collectors, no re-optimization *)
   | Memory_only   (** improved estimates only drive memory re-allocation *)
   | Plan_only     (** improved estimates only drive plan modification *)
-  | Full
-  | Bound_checked
-      (** [Full], but a plan switch is additionally admitted only when the
-          candidate's provable worst-case remaining cost (upper bound of
-          {!Mqr_analysis.Bounds.cost_interval}, collection overhead and
-          materialization included) beats the current plan's provable
-          best-case remaining cost — switching cannot lose to estimation
-          error ({!Reopt_policy.accept_bound_checked}) *)
+  | Full          (** re-allocate memory, then re-plan and maybe switch *)
 
 val mode_to_string : mode -> string
 
@@ -110,13 +103,6 @@ type event =
       materialize_ms : float;
     }
   | Ev_rejected of { t_new_total : float; t_improved : float }
-  | Ev_bound_check of {
-      new_hi_ms : float;
-          (** candidate's provable worst-case remaining cost *)
-      cur_lo_ms : float;
-          (** current plan's provable best-case remaining cost *)
-      admitted : bool;  (** the worst case provably beats the best case *)
-    }  (** emitted at every bound-checked switch consideration *)
   | Ev_sampled of Sampling.probe
   | Ev_parallel of {
       op : string;           (** operator executed with an exchange *)
@@ -142,11 +128,9 @@ type report = {
   result_schema : Schema.t;
   elapsed_ms : float;
   counters : Sim_clock.counters;
-  events : event list;
   timed_events : (float * event) list;
-      (** every event paired with the simulated time at which it was
-          emitted — [events] is the same list unstamped, kept for
-          compatibility *)
+      (** every event, in emission order, paired with the simulated time
+          at which it was emitted *)
   switches : int;
   collectors : int;  (** collectors inserted into the initial plan *)
   initial_plan : Mqr_opt.Plan.t;

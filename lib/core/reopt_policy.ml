@@ -25,14 +25,6 @@ let should_consider p ~t_opt_estimated ~t_improved ~t_optimizer =
 
 let accept_new_plan ~t_new_total ~t_improved = t_new_total < t_improved
 
-(* Bound-checked switching: only admit a candidate whose *worst-case*
-   remaining cost (upper bound of its provable cost interval, collection
-   overhead and materialization included) beats the *best-case* remaining
-   cost of staying the course.  An infinite upper bound — the analysis
-   could not bound the candidate — never wins. *)
-let accept_bound_checked ~new_hi_ms ~cur_lo_ms =
-  Float.is_finite new_hi_ms && new_hi_ms < cur_lo_ms
-
 (* A runtime filter whose observed pass rate deviates from the estimate by
    more than [rf_surprise_factor] in either direction means the join
    selectivity underlying the remaining plan is badly wrong. *)

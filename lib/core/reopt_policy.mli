@@ -42,13 +42,6 @@ val should_consider :
 
 val accept_new_plan : t_new_total:float -> t_improved:float -> bool
 
-(** Guaranteed-win acceptance for the dispatcher's bound-checked mode:
-    admit the candidate only when its provable worst-case remaining cost
-    [new_hi_ms] (finite, upper bound of {!Mqr_analysis.Bounds.cost_interval}
-    plus collection overhead and materialization) is below the current
-    plan's provable best-case remaining cost [cur_lo_ms]. *)
-val accept_bound_checked : new_hi_ms:float -> cur_lo_ms:float -> bool
-
 (** Is the deviation between a filter's estimated and observed selectivity
     large enough ([> rf_surprise_factor] either way) to distrust the
     remaining plan? *)

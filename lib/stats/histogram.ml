@@ -33,13 +33,16 @@ let max_value t =
   if n = 0 then None else Some t.bkts.(n - 1).hi
 
 (* Frequency table of a data array: the sorted distinct values and their
-   counts, as two parallel arrays (floats unboxed). *)
+   counts, as two parallel arrays (floats unboxed).  NaNs sort first under
+   [Float.compare] and are left out: a NaN has no place in the domain, and
+   as a bucket bound it would poison every width and comparison. *)
 let freq_table data =
   let sorted = Array.copy data in
   Heap_sort.sort_floats sorted;
   let n = Array.length sorted in
   let vals = Array.make n 0.0 and cnts = Array.make n 0 in
   let k = ref 0 and i = ref 0 in
+  while !i < n && Float.is_nan sorted.(!i) do incr i done;
   while !i < n do
     let v = sorted.(!i) in
     let j = ref !i in

@@ -1,6 +1,6 @@
 (* Cardinality-bound abstract interpretation: provable intervals over
    hand-built plans, seeded out-of-interval plans producing their BND-*
-   diagnostics, and the bound-checked switching gate. *)
+   diagnostics, and the cost interval progress ETAs read. *)
 open Mqr_storage
 module Catalog = Mqr_catalog.Catalog
 module Expr = Mqr_expr.Expr
@@ -233,15 +233,6 @@ let test_cost_interval_ordered () =
   Alcotest.(check bool) "interval ordered" true (iv.Bounds.lo <= iv.Bounds.hi);
   Alcotest.(check bool) "upper bound finite" true (Float.is_finite iv.Bounds.hi)
 
-let test_accept_bound_checked_gate () =
-  Alcotest.(check bool) "provable win admitted" true
-    (Reopt_policy.accept_bound_checked ~new_hi_ms:10.0 ~cur_lo_ms:20.0);
-  Alcotest.(check bool) "tie vetoed" false
-    (Reopt_policy.accept_bound_checked ~new_hi_ms:20.0 ~cur_lo_ms:20.0);
-  Alcotest.(check bool) "unbounded candidate vetoed" false
-    (Reopt_policy.accept_bound_checked ~new_hi_ms:Float.infinity
-       ~cur_lo_ms:20.0)
-
 let suite =
   [ Alcotest.test_case "unfiltered scan interval is exact" `Quick
       test_scan_exact;
@@ -262,6 +253,4 @@ let suite =
     Alcotest.test_case "well-formed plan has no BND findings" `Quick
       test_clean_plan_has_no_bnd;
     Alcotest.test_case "cost interval is ordered and finite" `Quick
-      test_cost_interval_ordered;
-    Alcotest.test_case "bound-checked gate admits only provable wins" `Quick
-      test_accept_bound_checked_gate ]
+      test_cost_interval_ordered ]

@@ -241,7 +241,7 @@ let integration_queries =
 
 let modes =
   [ Dispatcher.Off; Dispatcher.Memory_only; Dispatcher.Plan_only;
-    Dispatcher.Full; Dispatcher.Bound_checked ]
+    Dispatcher.Full ]
 
 let test_engine_matches_reference () =
   let catalog = mini_catalog () in
@@ -323,8 +323,8 @@ let test_events_reported () =
   in
   let has_unit_done =
     List.exists
-      (fun ev -> match ev with Dispatcher.Ev_unit_done _ -> true | _ -> false)
-      r.Dispatcher.events
+      (fun (_, ev) -> match ev with Dispatcher.Ev_unit_done _ -> true | _ -> false)
+      r.Dispatcher.timed_events
   in
   Alcotest.(check bool) "unit events" true has_unit_done
 

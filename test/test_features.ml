@@ -189,8 +189,8 @@ let test_engine_probe_rows_event () =
   in
   let sampled =
     List.exists
-      (fun ev -> match ev with Dispatcher.Ev_sampled _ -> true | _ -> false)
-      r.Dispatcher.events
+      (fun (_, ev) -> match ev with Dispatcher.Ev_sampled _ -> true | _ -> false)
+      r.Dispatcher.timed_events
   in
   Alcotest.(check bool) "sampling event" true sampled;
   match r.Dispatcher.rows.(0).(0) with

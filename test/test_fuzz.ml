@@ -120,7 +120,7 @@ let gen_query =
 
 let modes =
   [ Dispatcher.Off; Dispatcher.Memory_only; Dispatcher.Plan_only;
-    Dispatcher.Full; Dispatcher.Bound_checked ]
+    Dispatcher.Full ]
 
 (* Every generated ORDER BY ... LIMIT query sorts on exactly its output
    columns, so tie-breaking differences between the engine and the

@@ -206,16 +206,26 @@ let test_voptimal_large_domain () =
   Alcotest.(check bool) (Printf.sprintf "half range %.3f" s) true
     (Float.abs (s -. 0.5) < 0.1)
 
-(* NaNs group into one frequency-table entry (Float.equal), so a sample
-   holding them still builds, under every kind, rather than looping on
-   the first NaN. *)
+(* A sample holding NaNs builds under every kind, with the NaNs left out:
+   every other row is counted and no bucket has a NaN bound. *)
 let test_nan_sample_builds () =
   let data = Array.init 600 (fun i -> if i mod 7 = 0 then nan else float_of_int i) in
+  let non_nan =
+    Array.fold_left (fun n v -> if Float.is_nan v then n else n + 1) 0 data
+  in
   List.iter
     (fun k ->
        let h = H.build k ~buckets:8 data in
-       Alcotest.(check bool) (H.kind_to_string k ^ " built") true
-         (List.length (H.buckets h) <= 600))
+       let name = H.kind_to_string k in
+       Alcotest.(check bool) (name ^ " built") true
+         (List.length (H.buckets h) <= 600);
+       Alcotest.(check (float 1e-9)) (name ^ " counts every non-NaN row")
+         (float_of_int non_nan) (H.total_rows h);
+       List.iter
+         (fun (b : H.bucket) ->
+            Alcotest.(check bool) (name ^ " bucket bounds are numbers") false
+              (Float.is_nan b.H.lo || Float.is_nan b.H.hi))
+         (H.buckets h))
     H.[ Equi_width; Equi_depth; Maxdiff; Serial; V_optimal ]
 
 let suite =

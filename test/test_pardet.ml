@@ -41,7 +41,7 @@ let canon rows = List.sort compare (strings rows)
 
 let modes =
   [ Dispatcher.Off; Dispatcher.Memory_only; Dispatcher.Plan_only;
-    Dispatcher.Full; Dispatcher.Bound_checked ]
+    Dispatcher.Full ]
 
 (* One engine per configuration, shared across every query and mode so
    the test does not re-spawn domains per case. *)

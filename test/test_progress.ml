@@ -23,7 +23,7 @@ let sql name = (Queries.find name).Queries.sql
 
 let all_modes =
   [ Dispatcher.Off; Dispatcher.Memory_only; Dispatcher.Plan_only;
-    Dispatcher.Full; Dispatcher.Bound_checked ]
+    Dispatcher.Full ]
 
 (* --- estimator unit behaviour --- *)
 
